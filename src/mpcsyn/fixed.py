@@ -51,11 +51,6 @@ def as_word(x) -> np.ndarray:
     raise TypeError(f"cannot interpret dtype {a.dtype} as ring words")
 
 
-def to_signed(w) -> np.ndarray:
-    """Two's-complement reinterpretation uint64 -> int64."""
-    return as_word(w).view(np.int64) if np.asarray(w).ndim else np.uint64(w).reshape(1).view(np.int64)[0]
-
-
 def encode(r) -> np.ndarray:
     """Encode reals onto the fixed-point grid, rounding half away from zero.
 

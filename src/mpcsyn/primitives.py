@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .fixed import F, FX_ONE, as_word, encode
-from .rss import PlainVec, U64
+from .rss import PlainVec, U64, prefix_scan
 
 EXP_DOMAIN = (-16.0, 0.0)
 LN_DOMAIN = (2.0**-F, 2.0)
@@ -81,10 +81,16 @@ def _pub_bit(word: np.ndarray, j: int) -> np.ndarray:
     return (word >> np.uint64(j)) & np.uint64(1)
 
 
+def _pub_bits(word: np.ndarray, nbits: int) -> np.ndarray:
+    """Bits 0..nbits-1 of public words, stacked on a new leading axis."""
+    pos = np.arange(nbits, dtype=U64).reshape((nbits,) + (1,) * np.ndim(word))
+    return (word >> pos) & np.uint64(1)
+
+
 def _xor_pub(eng, b, m: np.ndarray):
-    """b XOR m for shared bit b and public bit vector m (local)."""
-    sel = np.asarray(1 - 2 * m.astype(np.int64))
-    return eng.add_const(eng.mul_const_int(b, sel), m.astype(U64))
+    """b XOR m = m + (1 - 2m) b for shared bits b, public bits m (local)."""
+    m = np.asarray(m, dtype=U64)
+    return eng.add_const(eng.mul_const_int(b, np.uint64(1) - m - m), m)
 
 
 def _xor_shared(eng, a, b):
@@ -122,11 +128,7 @@ def sec_eq(eng, x, other):
         return PlainVec((d.raw == 0).astype(U64))
     m, bits = eng.masked_open(d)
     # d == 0 iff the opened word equals the mask, i.e. all 64 bit pairs agree
-    leaves = []
-    for j in range(64):
-        mj = _pub_bit(m, j)
-        leaves.append(_xor_pub(eng, eng.index(bits, j), 1 - mj))
-    return _and_reduce(eng, eng.stack(leaves, axis=0))
+    return _and_reduce(eng, _xor_pub(eng, bits, np.uint64(1) - _pub_bits(m, 64)))
 
 
 def _sign_bit(eng, d):
@@ -135,7 +137,7 @@ def _sign_bit(eng, d):
         return PlainVec((d.raw >> np.uint64(63)).astype(U64))
     m, bits = eng.masked_open(d)
     # d = m - R: sign = m_63 XOR r_63 XOR borrow into bit 63
-    borrow = eng.borrow_taps(m, bits, [63])[63]
+    borrow = eng.index(eng.borrow_taps(m, bits, [63]), 0)
     t = _xor_pub(eng, eng.index(bits, 63), _pub_bit(m, 63))
     return _xor_shared(eng, t, borrow)
 
@@ -208,35 +210,32 @@ def _horner(eng, x, coeffs, frac_bits: int):
 def _value_bits(eng, x, nbits: int):
     """Shared bits 0..nbits-1 of x; contract: all higher bits of x are zero."""
     if eng.is_plain:
-        arr = np.stack([(x.raw >> np.uint64(j)) & np.uint64(1) for j in range(nbits)])
-        return PlainVec(arr.astype(U64))
+        return PlainVec(_pub_bits(x.raw, nbits))
     m, rbits = eng.masked_open(x)
-    borrows = eng.borrow_taps(m, rbits, list(range(nbits)))
-    out = []
-    for j in range(nbits):
-        t = _xor_pub(eng, eng.index(rbits, j), _pub_bit(m, j))
-        out.append(_xor_shared(eng, t, borrows[j]))
-    return eng.stack(out, axis=0)
+    # x = m - R: bit j = m_j XOR r_j XOR borrow into bit j, all bits at once
+    borrows = eng.borrow_taps(m, rbits, range(nbits))
+    t = _xor_pub(eng, eng.index(rbits, slice(0, nbits)), _pub_bits(m, nbits))
+    return _xor_shared(eng, t, borrows)
+
+
+def _or_combine(eng, hi, lo):
+    """a OR b = a + b - ab for shared bits (one round)."""
+    return eng.sub(eng.add(hi, lo), eng._mul_raw(hi, lo))
 
 
 def _msb_onehot(eng, x, nbits: int):
     """One-hot of the most significant set bit among positions 0..nbits-1.
 
     All-zero input yields the all-zero vector (callers exploit this for
-    the x = 0 edge case).
+    the x = 0 edge case). The suffix ORs s_j = OR of bits j..nbits-1 are
+    prefixes of the reversed bits, so one log-depth scan yields both s_j
+    and s_{j+1}; the one-hot is their difference.
     """
     bits = _value_bits(eng, x, nbits)
-    ors = [eng.index(bits, nbits - 1)]
-    for j in range(nbits - 2, -1, -1):
-        bj = eng.index(bits, j)
-        prev = ors[-1]
-        ors.append(eng.sub(eng.add(bj, prev), eng._mul_raw(bj, prev)))
-    ors.reverse()  # ors[j] = OR of bits j..nbits-1
-    prefix = eng.stack(ors, axis=0)
-    above = eng.concat(
-        [eng.index(prefix, slice(1, nbits)), eng.zeros((1,) + x.shape)], axis=0
-    )
-    return eng.sub(prefix, above)
+    rev = eng.reshape(eng.index(bits, slice(None, None, -1)), (1, nbits) + x.shape)
+    taps = list(range(nbits, 0, -1)) + list(range(nbits - 1, -1, -1))
+    ors = prefix_scan(eng, rev, _or_combine, taps)
+    return eng.sub(eng.index(ors, slice(0, nbits)), eng.index(ors, slice(nbits, 2 * nbits)))
 
 
 def _weighted_bitsum(eng, onehot, weights):

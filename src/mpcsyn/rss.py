@@ -3,14 +3,17 @@
 A value x is split as x = c0 + c1 + c2 (mod 2^64); party i holds the pair
 (c_i, c_{i+1 mod 3}). Any two parties can reconstruct, a single party's
 view is uniform. The engine simulates the three parties in one process:
-each party's state is its own pair of arrays, and every interactive step
-moves data through an explicit logged message, so transcripts reflect the
-real communication pattern (3 messages per multiplication, 0 for linear
-work).
+a ShareVec stores all three parties' pairs in one (3, 2, *shape) uint64
+array, so each party's copy of a component is its own slot, and every
+interactive step moves data through an explicit logged message, so
+transcripts reflect the real communication pattern (3 messages per
+multiplication, 0 for linear work).
 
-Everything is vectorized: a ShareVec carries numpy uint64 arrays of any
-shape, protocols batch elementwise, and message sizes are 8 bytes per
-element.
+Everything is vectorized: local operations are single numpy calls on the
+whole share array, protocols batch elementwise, and message sizes are 8
+bytes per element. Comparison and truncation recover their borrow bits
+with a log-depth parallel-prefix network (``prefix_scan``), so a 64-bit
+borrow costs 6 rounds instead of 64.
 
 ``PlainEngine`` exposes the identical operation surface on plaintext
 words. It is the trusted-aggregator (cdp) backend: same fixed-point
@@ -46,6 +49,21 @@ def _wrapping(fn):
             return fn(*args, **kwargs)
 
     return inner
+
+
+def _as_shape(shape) -> tuple[int, ...]:
+    return (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+
+
+def _lift(a: np.ndarray, lead: int, ndim: int) -> np.ndarray:
+    """View of ``a`` with unit axes inserted after its ``lead`` leading axes,
+    so its data axes number at least ``ndim`` (numpy broadcasting aligns
+    trailing axes, which would otherwise pair data axes with the lead)."""
+    extra = ndim - (a.ndim - lead)
+    if extra <= 0:
+        return a
+    return a.reshape(a.shape[:lead] + (1,) * extra + a.shape[lead:])
+
 
 # purpose tags for pairwise PRF streams (numpy Philox, keyed by
 # (master seed, purpose, pair)). Purposes are separated so that the
@@ -125,17 +143,29 @@ class Transcript:
 
 @dataclass(frozen=True)
 class ShareVec:
-    """Replicated sharing of an array: pairs[i] = (c_i, c_{i+1}) at party i."""
+    """Replicated sharing of an array, held as one (3, 2, *shape) array.
 
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    ``data[i, k]`` is party i's copy of component c_{i+k mod 3}, so
+    pairs[i] = (c_i, c_{i+1}) at party i. ``pairs``, ``shape`` and ``size``
+    are derived views: writing through ``pairs[i][k]`` changes party i's
+    copy only, and the other holder's copy of that component stays as it
+    was.
+    """
+
+    data: np.ndarray
+
+    @property
+    def pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        d = self.data
+        return tuple((d[i, 0], d[i, 1]) for i in range(3))
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.pairs[0][0].shape
+        return self.data.shape[2:]
 
     @property
     def size(self) -> int:
-        return int(self.pairs[0][0].size)
+        return self.data.size // 6
 
     def pair_of(self, party: int) -> tuple[np.ndarray, np.ndarray]:
         """Party ``party``'s private view (its two component arrays)."""
@@ -244,7 +274,7 @@ class _EngineBase:
 
     def rand_bit(self, shape):
         """Shared uniform bits, unknown to every single party (noise purpose)."""
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        shape = _as_shape(shape)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         self.count("rand_bit", n)
         inj = self._pop_injected(self._injected_bits, n)
@@ -255,7 +285,7 @@ class _EngineBase:
 
     def rand_uniform01(self, shape):
         """Shared uniform fixed-point value on {k * 2^-F : 0 <= k < 2^F}."""
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        shape = _as_shape(shape)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         inj = self._pop_injected(self._injected_uniform, n)
         if inj is not None:
@@ -268,7 +298,7 @@ class _EngineBase:
     # -- generic derived operations -------------------------------------------
 
     def zeros(self, shape):
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        shape = _as_shape(shape)
         return self.const_vec(np.zeros(shape, dtype=U64))
 
     def sub(self, x, y):
@@ -321,34 +351,54 @@ class _EngineBase:
             y = self.add(y, self.trunc(self.mul_const_int(x, lo), F))
         return self.neg(y) if cf < 0 else y
 
-    def fx_mul(self, x, y):
-        """Fixed-point product of two shared values with |x*y| < 1/2."""
-        return self.trunc(self.mul(x, y))
-
     # -- layout helpers (linear, local, message-free) --------------------------
+    #
+    # ``_layout`` applies fn to the whole representation array, whose first
+    # ``_lead`` axes are not data axes (0 for plaintext words, 2 for the
+    # (party, slot) axes of a share), so the helpers shift axes and keys
+    # past them.
+
+    _lead = 0
 
     def _layout(self, fn, *vecs):
         raise NotImplementedError
 
+    def _axis(self, axis: int) -> int:
+        return axis + self._lead if axis >= 0 else axis
+
     def reshape(self, x, shape):
-        return self._layout(lambda a: a.reshape(shape), x)
+        lead, shape = self._lead, _as_shape(shape)
+        return self._layout(lambda a: a.reshape(a.shape[:lead] + shape), x)
 
     def broadcast_to(self, x, shape):
-        return self._layout(lambda a: np.broadcast_to(a, shape).copy(), x)
+        lead, shape = self._lead, _as_shape(shape)
+        return self._layout(
+            lambda a: np.broadcast_to(_lift(a, lead, len(shape)), a.shape[:lead] + shape).copy(), x
+        )
 
     def index(self, x, key):
+        key = (slice(None),) * self._lead + (key if isinstance(key, tuple) else (key,))
         return self._layout(lambda a: a[key], x)
 
     def stack(self, xs, axis=0):
+        axis = self._axis(axis)
         return self._layout(lambda *arrs: np.stack(arrs, axis=axis), *xs)
 
     def concat(self, xs, axis=0):
+        axis = self._axis(axis)
         return self._layout(lambda *arrs: np.concatenate(arrs, axis=axis), *xs)
 
     def sum_axis(self, x, axis=None):
+        if axis is None:
+            axis = tuple(range(self._lead, self._lead + len(x.shape)))
+        elif isinstance(axis, tuple):
+            axis = tuple(self._axis(a) for a in axis)
+        else:
+            axis = self._axis(axis)
         return self._layout(lambda a: np.sum(a, axis=axis, dtype=U64), x)
 
     def cumsum_axis(self, x, axis):
+        axis = self._axis(axis)
         return self._layout(lambda a: np.cumsum(a, axis=axis, dtype=U64), x)
 
     def assemble(self, shape, placements):
@@ -356,10 +406,50 @@ class _EngineBase:
         raise NotImplementedError
 
 
+def _aligned(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Share arrays of two operands with equally many data axes."""
+    if a.ndim != b.ndim:
+        nd = max(a.ndim, b.ndim) - 2
+        a, b = _lift(a, 2, nd), _lift(b, 2, nd)
+    return a, b
+
+
+def _add_public(data: np.ndarray, raws) -> None:
+    """Add public words to a share array in place, under the public-constant
+    convention (component c0: party 1's first slot, party 3's second)."""
+    data[0, 0, ...] += raws
+    data[2, 1, ...] += raws
+
+
+def _disagreeing(data: np.ndarray, comps) -> int | None:
+    """First component among ``comps`` whose two replicated copies differ.
+
+    Component c sits at party c (slot 0) and party c-1 (slot 1)."""
+    if np.array_equal(data[:, 0], data[[2, 0, 1], 1]):
+        return None
+    for c in comps:
+        if not np.array_equal(data[c, 0], data[(c + 2) % 3, 1]):
+            return c
+    return None
+
+
+_BIT_WEIGHTS = np.uint64(1) << np.arange(64, dtype=U64)
+
+
+@functools.lru_cache(maxsize=None)
+def _high_weights(g: int) -> np.ndarray:
+    """Weights 2^(j-g) for bit positions j >= g, zero below."""
+    w = np.zeros(64, dtype=U64)
+    w[g:] = _BIT_WEIGHTS[: 64 - g]
+    w.flags.writeable = False  # cached: shared by every caller
+    return w
+
+
 class Mpc3Engine(_EngineBase):
     """Deterministic in-process simulator of the three-party protocol."""
 
     is_plain = False
+    _lead = 2
 
     def __init__(self, seed: int, record_messages: bool = False):
         super().__init__(seed, record_messages)
@@ -378,7 +468,11 @@ class Mpc3Engine(_EngineBase):
 
     def _from_components(self, c0, c1, c2) -> ShareVec:
         comps = [np.asarray(c, dtype=U64) for c in (c0, c1, c2)]
-        return ShareVec(tuple((comps[i].copy(), comps[(i + 1) % 3].copy()) for i in range(3)))
+        data = np.empty((3, 2) + comps[0].shape, dtype=U64)
+        for i in range(3):
+            data[i, 0] = comps[i]
+            data[i, 1] = comps[(i + 1) % 3]
+        return ShareVec(data)
 
     # -- sharing / reconstruction ----------------------------------------------
 
@@ -402,18 +496,19 @@ class Mpc3Engine(_EngineBase):
     def const_vec(self, raws) -> ShareVec:
         """Public constant by convention: party 1 contributes it, others zero."""
         raws = as_word(raws)
-        z = np.zeros_like(raws)
-        return self._from_components(raws, z, z)
+        data = np.zeros((3, 2) + raws.shape, dtype=U64)
+        _add_public(data, raws)
+        return ShareVec(data)
 
     def _embed_public(self, raws: np.ndarray) -> ShareVec:
         return self.const_vec(raws)
 
     def reconstruct(self, x: ShareVec) -> np.ndarray:
         """Simulator-level reconstruction with the replication tripwire."""
-        for i in range(3):
-            if not np.array_equal(x.pairs[i][1], x.pairs[(i + 1) % 3][0]):
-                raise IntegrityError(f"replicated copies of component {(i + 1) % 3} disagree")
-        return np.asarray(x.pairs[0][0] + x.pairs[1][0] + x.pairs[2][0], dtype=U64)
+        bad = _disagreeing(x.data, (1, 2, 0))
+        if bad is not None:
+            raise IntegrityError(f"replicated copies of component {bad} disagree")
+        return np.asarray(np.sum(x.data[:, 0], axis=0, dtype=U64))
 
     def open(self, x: ShareVec, to: int | None = None) -> np.ndarray:
         """Protocol-level opening; ``to=None`` reveals to all parties.
@@ -423,59 +518,81 @@ class Mpc3Engine(_EngineBase):
         """
         self.transcript.next_round()
         targets = range(3) if to is None else [to]
-        out = None
+        d = x.data
         for p in targets:
-            missing = (p + 2) % 3
-            copy_a = self._send((p + 1) % 3, p, x.pairs[(p + 1) % 3][1])
-            copy_b = self._send((p + 2) % 3, p, x.pairs[(p + 2) % 3][0])
-            if not np.array_equal(copy_a, copy_b):
-                raise IntegrityError(f"opening to party {p + 1}: component copies disagree")
-            out = np.asarray(x.pairs[p][0] + x.pairs[p][1] + copy_a, dtype=U64)
-        return out
+            # party p misses c_{p+2}; parties p+1 and p+2 each send their copy
+            self._send((p + 1) % 3, p, d[(p + 1) % 3, 1])
+            self._send((p + 2) % 3, p, d[(p + 2) % 3, 0])
+        bad = _disagreeing(d, [(p + 2) % 3 for p in targets])
+        if bad is not None:
+            raise IntegrityError(f"opening to party {(bad + 1) % 3 + 1}: component copies disagree")
+        p = targets[-1]
+        return np.asarray(d[p, 0, ...] + d[p, 1, ...] + d[(p + 1) % 3, 1, ...], dtype=U64)
 
     # -- local algebra -----------------------------------------------------------
 
-    @_wrapping
     def _layout(self, fn, *vecs):
-        # np.asarray: full reductions yield numpy scalars, which warn on wrap
-        return ShareVec(
-            tuple(
-                (
-                    np.asarray(fn(*(v.pairs[i][0] for v in vecs)), dtype=U64),
-                    np.asarray(fn(*(v.pairs[i][1] for v in vecs)), dtype=U64),
-                )
-                for i in range(3)
-            )
-        )
+        return ShareVec(np.asarray(fn(*(v.data for v in vecs)), dtype=U64))
 
     def add(self, x: ShareVec, y: ShareVec) -> ShareVec:
-        return self._layout(lambda a, b: a + b, x, y)
+        a, b = _aligned(x.data, y.data)
+        return ShareVec(a + b)
+
+    def sub(self, x: ShareVec, y: ShareVec) -> ShareVec:
+        a, b = _aligned(x.data, y.data)
+        return ShareVec(a - b)
 
     def mul_const_int(self, x: ShareVec, c) -> ShareVec:
         cw = as_word(np.asarray(c))
-        return self._layout(lambda a: a * cw, x)
+        return ShareVec(_lift(x.data, 2, cw.ndim) * cw)
+
+    def add_const(self, x: ShareVec, raws) -> ShareVec:
+        data = x.data.copy()
+        _add_public(data, as_word(raws))
+        return ShareVec(data)
+
+    def _bit_sum(self, bits: ShareVec, weights: np.ndarray) -> ShareVec:
+        """Share of sum_j weights[j] * bits[j] (local; no full-size temporary)."""
+        d = bits.data
+        n = int(np.prod(d.shape[3:], dtype=np.int64))
+        out = np.matmul(weights, d.reshape(d.shape[:3] + (n,)))
+        return ShareVec(out.reshape(d.shape[:2] + d.shape[3:]))
 
     # -- interactive operations ---------------------------------------------------
 
-    def _zero_share(self, shape) -> list[np.ndarray]:
-        draws = [g.integers(0, 1 << 64, size=shape, dtype=U64) for g in self._zero_streams]
-        # party i: PRF(pair {i,i+1}) - PRF(pair {i-1,i})
-        return [draws[i] - draws[(i + 2) % 3] for i in range(3)]
+    def _add_zero_share(self, w: np.ndarray) -> None:
+        """Add party i's share of zero to w[i], in place.
 
-    @_wrapping
-    def _mul_impl(self, x: ShareVec, y: ShareVec) -> ShareVec:
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        u = self._zero_share(shape)
-        w = []
-        for i in range(3):
-            xi, xj = x.pairs[i]
-            yi, yj = y.pairs[i]
-            zi = xi * yi + xi * yj + xj * yi
-            w.append(np.asarray(zi + u[i], dtype=U64))
+        Party i's share is PRF(pair {i,i+1}) - PRF(pair {i-1,i}).
+        """
+        for i, g in enumerate(self._zero_streams):
+            # raw Philox words: the same stream integers(0, 2**64) yields
+            draw = g.bit_generator.random_raw(w.shape[1:])
+            w[i, ...] += draw
+            w[(i + 1) % 3, ...] -= draw
+
+    def _reshare(self, w: np.ndarray) -> None:
+        """Second half of a multiplication, given each party's local product
+        term w[i]: mask it with a fresh sharing of zero (in place), then
+        party i sends it to party i-1 (one round, 3 messages)."""
+        self._add_zero_share(w)
         self.transcript.next_round()
-        # party i sends its reshared term to party i-1; new pair = (w_i, w_{i+1})
-        received = [self._send((i + 1) % 3, i, w[(i + 1) % 3]) for i in range(3)]
-        return ShareVec(tuple((w[i].copy(), received[i].copy()) for i in range(3)))
+        for i in range(3):
+            self._send((i + 1) % 3, i, w[(i + 1) % 3])
+
+    def _mul_impl(self, x: ShareVec, y: ShareVec) -> ShareVec:
+        a, b = _aligned(x.data, y.data)
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=U64)
+        w = out[:, 0]
+        # party i's term x_i y_i + x_i y_{i+1} + x_{i+1} y_i
+        np.add(b[:, 0], b[:, 1], out=w)
+        w *= a[:, 0]
+        w += a[:, 1] * b[:, 0]
+        self._reshare(w)
+        # new pair at party i = (w_i, w_{i+1})
+        out[:2, 1] = w[1:]
+        out[2, 1] = w[0]
+        return ShareVec(out)
 
     def mul(self, x: ShareVec, y: ShareVec, count: bool = True) -> ShareVec:
         """Protocol-level multiplication (3 messages, one ring element each way)."""
@@ -491,31 +608,42 @@ class Mpc3Engine(_EngineBase):
     def assemble(self, shape, placements) -> ShareVec:
         base = self.zeros(shape)
         for rslice, cols, vec in placements:
-            for i in range(3):
-                for j in range(2):
-                    base.pairs[i][j][rslice, cols] = vec.pairs[i][j]
+            base.data[:, :, rslice, cols] = vec.data
         return base
 
     def mask_bits(self, shape) -> ShareVec:
         """Uniform shared bits for masked openings (mask purpose streams)."""
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        shape = _as_shape(shape)
         n = int(np.prod(shape, dtype=np.int64))
         self.count("mask_bit", n)
         draws = [g.integers(0, 2, size=shape, dtype=U64) for g in self._mask_streams]
         return self._xor3(*draws)
 
     def _xor3(self, b0, b1, b2) -> ShareVec:
-        # bit known to pair {p, p+1} enters as component p+1 (their common one)
-        z = np.zeros_like(b0)
-        s0 = self._from_components(z, b0, z)
-        s1 = self._from_components(z, z, b1)
-        s2 = self._from_components(b2, z, z)
-        t = self._xor(s0, s1)
-        return self._xor(t, s2)
+        """Shared b0 XOR b1 XOR b2 as two shared XORs x + y - 2xy.
 
-    def _xor(self, a: ShareVec, b: ShareVec) -> ShareVec:
-        prod = self._mul_raw(a, b)
-        return self._layout(lambda x, y, p: x + y - np.uint64(2) * p, a, b, prod)
+        Bit b_p is known to pair {p, p+1} and enters as component p+1, their
+        common one, so most components are public zeros. Each product's
+        local terms x_i y_i + x_i y_{i+1} + x_{i+1} y_i are computed from
+        the nonzero components only; they equal the terms of a general
+        multiplication and are reshared the same way.
+        """
+        # (b0 as c1) * (b1 as c2): only party 2's term x_1 y_2 is nonzero
+        w = np.zeros((3,) + b0.shape, dtype=U64)
+        np.multiply(b0, b1, out=w[1, ...])
+        self._reshare(w)
+        t = -(w + w)
+        t[1, ...] += b0
+        t[2, ...] += b1
+        # t * (b2 as c0): party 1's term (t_0 + t_1) y_0, party 3's t_2 y_0
+        w = np.zeros_like(t)
+        np.multiply(t[0, ...] + t[1, ...], b2, out=w[0, ...])
+        np.multiply(t[2, ...], b2, out=w[2, ...])
+        self._reshare(w)
+        t -= w
+        t -= w
+        t[0, ...] += b2
+        return self._from_components(*t)
 
     def masked_open(self, x: ShareVec) -> tuple[np.ndarray, ShareVec]:
         """Open x + r for a fresh 64-bit shared-bit mask r; returns (public, bits).
@@ -524,41 +652,22 @@ class Mpc3Engine(_EngineBase):
         extracts what it needs from the public word plus the shared bits.
         """
         bits = self.mask_bits((64,) + x.shape)
-        weights = (np.uint64(1) << np.arange(64, dtype=U64)).reshape((64,) + (1,) * len(x.shape))
-        r = self._layout(lambda b: np.sum(b * weights, axis=0, dtype=U64), bits)
-        m = self.open(self.add(x, r))
+        m = self.open(self.add(x, self._bit_sum(bits, _BIT_WEIGHTS)))
         return m, bits
 
-    def borrow_taps(self, m: np.ndarray, bits: ShareVec, taps: list[int]) -> dict[int, ShareVec]:
-        """Borrow chain of (public m) - (shared r) over bit positions.
+    def borrow_taps(self, m: np.ndarray, bits: ShareVec, taps) -> ShareVec:
+        """Borrows of (public m) - (shared r), r = sum_j 2^j bits[j].
 
-        Returns, for each tap position t, the shared borrow *into* bit t
-        (so taps=[64] yields the overall borrow, i.e. [m < r]). One raw
-        multiplication per chain position; message shape depends only on
-        the bit width, never on the data.
+        Row i of the result is the shared borrow *into* bit taps[i], so tap
+        64 is the overall borrow [m < r] and tap 0 is 0. With m public, the
+        generate bit g_j = (1 - m_j) r_j and the propagate bit
+        p_j = XNOR(m_j, r_j) = (1 - m_j) + (2 m_j - 1) r_j of every position
+        are local, and ``prefix_scan`` merges them in ceil(log2 max(taps))
+        rounds. The message pattern depends on the taps and the shape,
+        never on the data.
         """
-        want = sorted(set(taps))
-        out: dict[int, ShareVec] = {}
-        borrow = self.zeros(m.shape)
-        pos = 0
-        if want and want[0] == 0:
-            out[0] = borrow
-            want = want[1:]
-        for t in want:
-            while pos < t:
-                m_bit = ((m >> np.uint64(pos)) & np.uint64(1)).astype(U64)
-                r_bit = self.index(bits, pos)
-                and_rb = self._mul_raw(r_bit, borrow)
-                # public per-element bit of m selects AND (m_j=1) vs OR
-                # (m_j=0); one fused local pass over the components
-                keep = np.uint64(1) - m_bit
-                borrow = self._layout(
-                    lambda r, b, a, k=keep, mb=m_bit: k * (r + b - a) + mb * a,
-                    r_bit, borrow, and_rb,
-                )
-                pos += 1
-            out[t] = borrow
-        return out
+        taps = tuple(int(t) for t in taps)
+        return prefix_scan(self, _borrow_leaves(m, bits, max(taps)), _borrow_combine, taps)
 
     @_wrapping
     def trunc(self, x: ShareVec, g: int = F) -> ShareVec:
@@ -567,25 +676,129 @@ class Mpc3Engine(_EngineBase):
         Mask-and-open construction: with the +2^63 bias, the unsigned
         identity X >> g = (C >> g) - (R >> g) - carry_g + 2^(64-g) * ov
         holds for C = X + R (mod 2^64), carry_g = [C mod 2^g < R mod 2^g],
-        ov = [C < R]; both indicator bits come from one borrow chain.
+        ov = [C < R]; both indicator bits come from one borrow network
+        (taps g and 64).
         """
         if not 0 < g < 64:
             raise ValueError("shift amount out of range")
-        n = x.size
-        self.count("trunc", n)
+        self.count("trunc", x.size)
         biased = self.add_const(x, np.uint64(HALF))
         c_pub, bits = self.masked_open(biased)
-        borrows = self.borrow_taps(c_pub, bits, [g, 64])
-        carry, ov = borrows[g], borrows[64]
-        weights = np.zeros(64, dtype=U64)
-        weights[g:] = np.uint64(1) << np.arange(0, 64 - g, dtype=U64)
-        wshaped = weights.reshape((64,) + (1,) * len(x.shape))
-        r_high = self._layout(lambda b: np.sum(b * wshaped, axis=0, dtype=U64), bits)
+        borrows = self.borrow_taps(c_pub, bits, (g, 64)).data
+        carry, ov = borrows[:, :, 0], borrows[:, :, 1]
+        r_high = self._bit_sum(bits, _high_weights(g)).data
         unbias = np.uint64((1 << (63 - g)) & MASK64)
         pub = (c_pub >> np.uint64(g)) - unbias
-        wrap = np.uint64(1) << np.uint64(64 - g)
-        y = self._layout(lambda rh, ca, o: wrap * o - rh - ca, r_high, carry, ov)
-        return self.add_const(y, pub)
+        y = ov * (np.uint64(1) << np.uint64(64 - g)) - r_high - carry
+        _add_public(y, pub)
+        return ShareVec(y)
+
+
+def _borrow_leaves(m: np.ndarray, bits: ShareVec, n: int) -> ShareVec:
+    """(G, P) of bit positions 0..n-1 of (public m) - (shared r), stacked."""
+    pos = np.arange(n, dtype=U64).reshape((n,) + (1,) * m.ndim)
+    m_bits = (m >> pos) & np.uint64(1)
+    keep = np.uint64(1) - m_bits
+    coef = np.stack([keep, m_bits + m_bits - np.uint64(1)])
+    leaves = bits.data[:, :, np.newaxis, :n] * coef
+    _add_public(leaves[:, :, 1], keep)
+    return ShareVec(leaves)
+
+
+def _borrow_combine(eng: Mpc3Engine, hi: ShareVec, lo: ShareVec) -> ShareVec:
+    """(G, P)_hi o (G, P)_lo = (G_hi + P_hi G_lo, P_hi P_lo).
+
+    G and P of a span are never both 1, so the OR in the borrow rule is a
+    sum. Both products share one multiplication: one level, one round.
+    """
+    merged = eng._mul_raw(eng.index(hi, slice(1, 2)), lo)
+    merged.data[:, :, 0] += hi.data[:, :, 0]
+    return merged
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_plan(n: int, taps: tuple[int, ...]):
+    """Schedule of ``prefix_scan`` over n leaves for the given taps.
+
+    Table rows 0..n-1 are the leaves and row n the empty prefix. A span
+    [a, b) of two or more positions splits at a plus the largest power of
+    two below b - a, so its low part is an aligned block that every tap
+    covering it shares, and its depth is ceil(log2(b - a)). Returns one
+    (hi_rows, lo_rows) pair per depth, whose merges are appended to the
+    table in that order, and the table row of each tap's prefix [0, t).
+    """
+    if any(not 0 <= t <= n for t in taps):
+        raise ValueError("tap outside the scanned positions")
+    row = {(j, j + 1): j for j in range(n)}
+    row[(0, 0)] = n
+    split: dict[tuple[int, int], int] = {}
+
+    def need(a: int, b: int) -> None:
+        if b - a > 1 and (a, b) not in split:
+            s = a + (1 << ((b - a - 1).bit_length() - 1))
+            split[(a, b)] = s
+            need(a, s)
+            need(s, b)
+
+    for t in taps:
+        need(0, t)
+    depths = sorted({(b - a - 1).bit_length() for a, b in split})
+    def frozen(rows: list[int]) -> np.ndarray:  # cached: shared by every caller
+        arr = np.array(rows, dtype=np.intp)
+        arr.flags.writeable = False
+        return arr
+
+    rounds = []
+    for d in depths:
+        spans = [(a, s, b) for (a, b), s in split.items() if (b - a - 1).bit_length() == d]
+        hi = frozen([row[(s, b)] for a, s, b in spans])
+        lo = frozen([row[(a, s)] for a, s, b in spans])
+        for a, _, b in spans:
+            row[(a, b)] = len(row)
+        rounds.append((hi, lo))
+    return tuple(rounds), frozen([row[(0, t)] for t in taps])
+
+
+def prefix_scan(eng, leaves, combine, taps):
+    """Prefixes of an associative operator over shared leaves, in log depth.
+
+    ``leaves`` has shape (c, n, *shape): n positions, each a c-component
+    element. ``combine(eng, hi, lo)`` merges stacked elements of adjacent
+    spans (``hi`` covering the higher positions) in one interactive round.
+    Returns component 0 of the prefix over positions [0, t) for each t in
+    ``taps``, stacked in tap order; the empty prefix (t = 0) is 0, the
+    identity's component 0 for both operators used here (borrow and OR).
+    The network is a divide-and-conquer (Sklansky-style) prefix network
+    pruned to the requested taps; each of its depths is a single batched
+    ``combine``, so the whole scan costs ceil(log2 max(taps)) rounds.
+    """
+    c, n = leaves.shape[:2]
+    rounds, out_rows = _scan_plan(n, tuple(taps))
+    lead = eng._lead
+    rows = n + 1 + sum(len(hi) for hi, _ in rounds)
+
+    # one table, allocated once, holds the leaves, the empty prefix (a zero
+    # row) and every merged span; each round fills its rows in place, as a
+    # table grown by concatenation would be copied once per round
+    def allocate(a):
+        t = np.zeros(a.shape[: lead + 1] + (rows,) + a.shape[lead + 2 :], dtype=U64)
+        t[(slice(None),) * (lead + 1) + (slice(0, n),)] = a
+        return t
+
+    table = eng._layout(allocate, leaves)
+    del leaves  # copied into the table; a caller's temporary can go now
+    row = n + 1
+    for hi, lo in rounds:
+        merged = combine(eng, eng.index(table, (slice(None), hi)), eng.index(table, (slice(None), lo)))
+        key = (slice(None),) * (lead + 1) + (slice(row, row + len(hi)),)
+
+        def fill(t, m, key=key):
+            t[key] = m
+            return t
+
+        table = eng._layout(fill, table, merged)
+        row += len(hi)
+    return eng.index(table, (0, out_rows))
 
 
 class PlainEngine(_EngineBase):

@@ -251,3 +251,60 @@ def test_message_pattern_data_independent():
     recs_a = run(-rng.uniform(0, 16, size=40))
     recs_b = run(-rng.uniform(0, 16, size=40))
     assert recs_a == recs_b
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("nbits", [34, 39])
+def test_value_bits_and_msb_onehot_match_plaintext(backend, nbits):
+    eng = make_engine(backend, seed=62)
+    rng = np.random.default_rng(62 + nbits)
+    vals = rng.integers(0, 1 << nbits, size=(4, 6), dtype=np.uint64)
+    vals[0, :3] = [0, 1, (1 << nbits) - 1]
+    vals[1] >>= rng.integers(0, nbits, size=6).astype(np.uint64)  # spread the msb
+    x = eng.share(vals)
+    bits = eng.reconstruct(prim._value_bits(eng, x, nbits))
+    want_bits = (vals >> np.arange(nbits, dtype=np.uint64).reshape(-1, 1, 1)) & np.uint64(1)
+    assert np.array_equal(bits, want_bits)
+    onehot = eng.reconstruct(prim._msb_onehot(eng, x, nbits))
+    want = np.zeros_like(want_bits)
+    for idx in np.ndindex(vals.shape):
+        if vals[idx]:
+            want[(int(vals[idx]).bit_length() - 1,) + idx] = 1
+    assert np.array_equal(onehot, want)
+
+
+def test_msb_onehot_round_count_log_depth():
+    # value bits: mask (2) + opening (1) + borrow network (6) + xor (1);
+    # suffix-OR scan ceil(log2 nbits) = 6 instead of nbits - 1
+    for nbits in (34, 39):
+        eng = Mpc3Engine(seed=63)
+        x = eng.share(np.arange(5, dtype=np.uint64))
+        before = eng.transcript.rounds
+        prim._msb_onehot(eng, x, nbits)
+        assert eng.transcript.rounds - before == 2 + 1 + 6 + 1 + 6, nbits
+
+
+def test_sec_cmp_round_count_closed_form():
+    # mask (2) + opening (1) + borrow into bit 63 (ceil(log2 63) = 6) + xor (1)
+    eng = Mpc3Engine(seed=64)
+    x = eng.share(fixed.encode(np.linspace(-2, 2, 9)))
+    y = eng.share(fixed.encode(np.zeros(9)))
+    before = eng.transcript.rounds
+    prim.sec_cmp(eng, x, y, "LT")
+    assert eng.transcript.rounds - before == 2 + 1 + 6 + 1
+
+
+def test_log_depth_networks_records_data_independent():
+    # the borrow network and the suffix-OR scan run in sec_ln and sec_sqrt
+    def run(vals):
+        eng = Mpc3Engine(seed=65, record_messages=True)
+        x = eng.share(fixed.encode(vals))
+        prim.sec_ln(eng, x)
+        prim.sec_sqrt(eng, x)
+        prim._value_bits(eng, eng.share(np.arange(vals.size, dtype=np.uint64)), 34)
+        return eng.transcript.records
+
+    rng = np.random.default_rng(66)
+    recs_a = run(rng.uniform(0.01, 2.0, size=(2, 7)))
+    recs_b = run(rng.uniform(0.01, 2.0, size=(2, 7)))
+    assert recs_a == recs_b

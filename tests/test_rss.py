@@ -261,3 +261,104 @@ def test_plain_engine_matches_mpc_on_arithmetic():
         z = eng.sub(z, eng.scale_pub(y, 1.5))
         outs.append(eng.reconstruct(z))
     assert np.array_equal(outs[0], outs[1])
+
+
+def _shared_mask(eng, rng, shape):
+    """Shared bit tensor (64, *shape) and the word r it encodes."""
+    bits = rng.integers(0, 2, size=(64,) + shape, dtype=np.uint64)
+    weights = (np.uint64(1) << np.arange(64, dtype=np.uint64)).reshape((64,) + (1,) * len(shape))
+    return eng.share(bits), np.sum(bits * weights, axis=0, dtype=np.uint64)
+
+
+def _borrow_into(m, r, t):
+    """Plaintext borrow into bit t of m - r: [m mod 2^t < r mod 2^t]."""
+    if t == 64:
+        return (m < r).astype(np.uint64)
+    low = np.uint64((1 << t) - 1)
+    return ((m & low) < (r & low)).astype(np.uint64)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+def test_borrow_taps_match_plaintext_borrow(shape):
+    eng = Mpc3Engine(seed=27)
+    rng = np.random.default_rng(27 + len(shape))
+    tap_sets = [[0], [1], [63], [64], list(range(34)), list(range(39))]
+    tap_sets += [[g, 64] for g in range(1, 64)]
+    for taps in tap_sets:
+        bits, r = _shared_mask(eng, rng, shape)
+        m = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+        m = np.where(rng.random(shape) < 0.2, r, m)  # ties: equal low bits too
+        got = eng.reconstruct(eng.borrow_taps(m, bits, taps))
+        assert got.shape == (len(taps),) + shape
+        for i, t in enumerate(taps):
+            assert np.array_equal(got[i], _borrow_into(m, r, t)), (taps, t)
+
+
+def test_borrow_taps_rounds_are_log_depth():
+    eng = Mpc3Engine(seed=28)
+    rng = np.random.default_rng(28)
+    for taps, depth in (([0], 0), ([1], 0), ([2], 1), ([63], 6), ([64], 6),
+                        ([6, 64], 6), (list(range(34)), 6), ([5], 3)):
+        bits, _ = _shared_mask(eng, rng, (4,))
+        m = rng.integers(0, 1 << 64, size=4, dtype=np.uint64)
+        before = eng.transcript.rounds
+        eng.borrow_taps(m, bits, taps)
+        assert eng.transcript.rounds - before == depth, taps
+
+
+def test_trunc_round_count_closed_form():
+    # mask bits (2 rounds) + opening (1) + borrow network (ceil(log2 64) = 6);
+    # the 64-step borrow chain this replaces took 64 rounds after the opening
+    eng = Mpc3Engine(seed=29)
+    x = eng.share(fixed.encode(np.linspace(-3, 3, 12)))
+    for g in (1, 16, 30, 63):
+        before = eng.transcript.rounds
+        eng.trunc(x, g)
+        assert eng.transcript.rounds - before == 2 + 1 + 6, g
+
+
+def test_borrow_network_records_data_independent():
+    def run(m, bit_vals):
+        eng = Mpc3Engine(seed=30, record_messages=True)
+        bits = eng.share(bit_vals)
+        for taps in ([63], [30, 64], list(range(39))):
+            eng.borrow_taps(m, bits, taps)
+        eng.trunc(eng.share(m), 26)
+        return eng.transcript.records
+
+    rng = np.random.default_rng(30)
+    runs = [run(rng.integers(0, 1 << 64, size=(3, 5), dtype=np.uint64),
+                rng.integers(0, 2, size=(64, 3, 5), dtype=np.uint64)) for _ in range(2)]
+    assert runs[0] == runs[1]
+
+
+def test_share_array_pairs_are_independent_views():
+    eng = Mpc3Engine(seed=31)
+    x = eng.share(np.arange(6, dtype=np.uint64).reshape(2, 3))
+    assert x.data.shape == (3, 2, 2, 3) and x.shape == (2, 3) and x.size == 6
+    for i in range(3):
+        # party i's second slot and party i+1's first slot hold one component
+        assert np.array_equal(x.pairs[i][1], x.pairs[(i + 1) % 3][0])
+    x.pairs[0][1][1, 2] += np.uint64(1)
+    assert x.data[0, 1, 1, 2] != x.data[1, 0, 1, 2]
+
+
+def test_layout_helpers_broadcast_like_plaintext():
+    rng = np.random.default_rng(32)
+    a = rng.integers(0, 1 << 64, size=(4, 3), dtype=np.uint64)
+    b = rng.integers(0, 1 << 64, size=(3,), dtype=np.uint64)
+    outs = []
+    for backend in ("mpc", "cdp"):
+        eng = make_engine(backend, seed=33)
+        x, y = eng.share(a), eng.share(b)
+        got = [
+            eng.add(x, y), eng.sub(y, x), eng.mul(x, y), eng.mul_const_int(y, a),
+            eng.broadcast_to(y, (2, 4, 3)), eng.reshape(x, (3, 4)),
+            eng.index(x, (slice(None), [2, 0])), eng.index(x, -1),
+            eng.stack([x, x], axis=-1), eng.concat([x, x], axis=1),
+            eng.sum_axis(x), eng.sum_axis(x, axis=(0, 1)), eng.sum_axis(x, axis=-1),
+            eng.cumsum_axis(x, axis=1), eng.add_const(x, b),
+        ]
+        outs.append([eng.reconstruct(v) for v in got])
+    for m, p in zip(*outs):
+        assert m.shape == p.shape and np.array_equal(m, p)
