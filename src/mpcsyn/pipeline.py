@@ -15,7 +15,7 @@ and measure shares are Fractions that sum back to the configured total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -107,13 +107,22 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Explicit joint model over the full attribute domain (party 1 state)."""
+    """Explicit joint model over the full attribute domain (party 1 state).
+
+    Marginals are memoized per instance (each update builds a new one), so
+    ``probs`` is a read-only view; it is not a copy of the caller's array,
+    which must not be written afterwards either.
+    """
 
     probs: np.ndarray
     schema: Schema
+    # sorted attribute tuple -> read-only table over those attributes
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64).ravel()
+        probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         size = self.schema.domain_size
         if size > MAX_JOINT_CELLS:
@@ -122,7 +131,8 @@ class JointDistribution:
             )
         if probs.shape != (size,):
             raise ValueError("probability vector does not match the domain")
-        if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
+        # written so that NaN fails: every comparison with NaN is False
+        if not (probs.min() >= 0 and abs(float(probs.sum()) - 1.0) <= 1e-9):
             raise ValueError("probabilities must be nonnegative and sum to 1")
 
     @classmethod
@@ -130,12 +140,38 @@ class JointDistribution:
         size = schema.domain_size
         return cls(np.full(size, 1.0 / size), schema)
 
+    def _table(self, attrs: tuple) -> np.ndarray:
+        """Read-only table over the sorted ``attrs``, axes in attribute order.
+
+        The table over S is the memoized table over S + {a}, a the largest
+        attribute outside S, summed over a's axis; the full set is
+        ``probs`` itself. Going down from the full table, the lowest
+        attributes outside S go first, so queries that agree below their
+        first missing attribute share each pass: a round's 1- and 2-way
+        queries make a few full-table passes instead of one each.
+        """
+        hit = self._memo.get(attrs)
+        if hit is not None:
+            return hit
+        if len(attrs) == self.schema.dims:
+            table = self.probs.reshape(self.schema.cardinalities)
+        else:
+            a = max(set(range(self.schema.dims)) - set(attrs))
+            parent = tuple(sorted(attrs + (a,)))
+            table = np.asarray(self._table(parent).sum(axis=parent.index(a)))
+            table.flags.writeable = False  # cached: shared by every caller
+        self._memo[attrs] = table
+        return table
+
     def marginal(self, query: Query) -> np.ndarray:
-        """Model marginal on the query attrs, row-major, as probabilities."""
-        table = self.probs.reshape(self.schema.cardinalities)
-        drop = tuple(a for a in range(self.schema.dims)
-                     if a not in query.attrs)
-        return table.sum(axis=drop).ravel()
+        """Model marginal on the query attrs, row-major, as probabilities.
+
+        Served from the instance's memo of partial sums (see ``_table``),
+        so the result is read-only; the full-domain marginal is a copy,
+        never a view of ``probs``.
+        """
+        out = self._table(query.attrs).ravel()
+        return out.copy() if len(query.attrs) == self.schema.dims else out
 
 
 @dataclass(frozen=True)
@@ -245,17 +281,21 @@ def mw_update(dist: JointDistribution, m: NoisyMeasurement,
               n: int) -> JointDistribution:
     """Multiplicative-weights step toward one noisy marginal.
 
-    Post-processing only: consumes a NoisyMeasurement and the public
-    model, never shares or raw rows.
+    The current marginal comes from the model's memo of partial sums.
+    Since the step is constant along the dropped axes, the normalizer
+    sum_cells table * step equals sum_(query cells) marginal * step, so
+    the step is divided by that small sum before the one full-table
+    multiply. Post-processing only: consumes a NoisyMeasurement and the
+    public model, never shares or raw rows.
     """
-    table = dist.probs.reshape(dist.schema.cardinalities)
+    marg = dist._table(m.query.attrs)
     drop = tuple(a for a in range(dist.schema.dims)
                  if a not in m.query.attrs)
-    current = n * table.sum(axis=drop)
-    target = np.asarray(m.values, dtype=np.float64).reshape(current.shape)
-    step = np.exp((target - current) / (2.0 * n))
+    target = np.asarray(m.values, dtype=np.float64).reshape(marg.shape)
+    step = np.exp((target - n * marg) / (2.0 * n))
+    step /= (marg * step).sum()
+    table = dist.probs.reshape(dist.schema.cardinalities)
     updated = table * np.expand_dims(step, drop)
-    updated /= updated.sum()
     return JointDistribution(updated.ravel(), dist.schema)
 
 

@@ -102,7 +102,8 @@ class Transcript:
         self.msg_count = 0
         self.byte_count = 0
         self.rounds = 0
-        self.channels: dict[str, dict[str, int]] = {}
+        # keyed by (sender, receiver); summary() names them "s->r"
+        self.channels: dict[tuple[int, int], dict[str, int]] = {}
         self.scopes: dict[str, dict[str, int]] = {}
         self.records: list[tuple[int, str, int, int, int]] | None = (
             [] if record_messages else None
@@ -114,8 +115,7 @@ class Transcript:
     def log_message(self, scope: str, sender: int, receiver: int, nbytes: int) -> None:
         self.msg_count += 1
         self.byte_count += nbytes
-        chan = f"{sender}->{receiver}"
-        entry = self.channels.setdefault(chan, {"messages": 0, "bytes": 0})
+        entry = self.channels.setdefault((sender, receiver), {"messages": 0, "bytes": 0})
         entry["messages"] += 1
         entry["bytes"] += nbytes
         sc = self.scopes.setdefault(scope, {"messages": 0, "bytes": 0})
@@ -132,7 +132,8 @@ class Transcript:
             "messages": self.msg_count,
             "bytes": self.byte_count,
             "rounds": self.rounds,
-            "channels": {k: dict(v) for k, v in sorted(self.channels.items())},
+            "channels": dict(sorted((f"{s}->{r}", dict(v))
+                                    for (s, r), v in self.channels.items())),
             "counters": dict(sorted(self.counters.items())),
             "scopes": {k: dict(v) for k, v in sorted(self.scopes.items())},
         }
@@ -433,7 +434,8 @@ def _disagreeing(data: np.ndarray, comps) -> int | None:
     return None
 
 
-_BIT_WEIGHTS = np.uint64(1) << np.arange(64, dtype=U64)
+_BIT_POS = np.arange(64, dtype=U64)
+_BIT_WEIGHTS = np.uint64(1) << _BIT_POS
 
 
 @functools.lru_cache(maxsize=None)
@@ -612,11 +614,18 @@ class Mpc3Engine(_EngineBase):
         return base
 
     def mask_bits(self, shape) -> ShareVec:
-        """Uniform shared bits for masked openings (mask purpose streams)."""
+        """64 uniform shared bits per element of ``shape``, stacked on a new
+        leading axis (mask purpose streams).
+
+        Each pairwise stream draws one raw 64-bit word per element; the
+        word's bits are that element's 64 bits from the stream.
+        """
         shape = _as_shape(shape)
         n = int(np.prod(shape, dtype=np.int64))
-        self.count("mask_bit", n)
-        draws = [g.integers(0, 2, size=shape, dtype=U64) for g in self._mask_streams]
+        self.count("mask_bit", 64 * n)
+        pos = _BIT_POS.reshape((64,) + (1,) * len(shape))
+        draws = [(g.bit_generator.random_raw(n).reshape(shape) >> pos) & np.uint64(1)
+                 for g in self._mask_streams]
         return self._xor3(*draws)
 
     def _xor3(self, b0, b1, b2) -> ShareVec:
@@ -651,7 +660,7 @@ class Mpc3Engine(_EngineBase):
         The opened value is uniform, so it reveals nothing; the caller
         extracts what it needs from the public word plus the shared bits.
         """
-        bits = self.mask_bits((64,) + x.shape)
+        bits = self.mask_bits(x.shape)
         m = self.open(self.add(x, self._bit_sum(bits, _BIT_WEIGHTS)))
         return m, bits
 

@@ -106,6 +106,94 @@ def test_joint_distribution_marginal():
     assert np.allclose(d.marginal(Query((0, 1))), probs)
 
 
+def test_joint_distribution_rejects_non_finite():
+    schema = small_schema([2, 2])
+    with pytest.raises(ValueError):
+        JointDistribution(np.full(4, np.nan), schema)
+    with pytest.raises(ValueError):
+        JointDistribution(np.array([np.nan, 0.5, 0.5, 0.0]), schema)
+    with pytest.raises(ValueError):
+        JointDistribution(np.array([np.inf, 0.0, 0.0, 0.0]), schema)
+    with pytest.raises(ValueError):
+        JointDistribution(np.array([-np.inf, 1.0, 0.0, 0.0]), schema)
+
+
+def _all_subsets(dims):
+    return [tuple(a for a in range(dims) if mask >> a & 1)
+            for mask in range(1 << dims)]
+
+
+def _random_joint(cards, seed):
+    probs = np.random.default_rng(seed).random(int(np.prod(cards)))
+    return probs / probs.sum()
+
+
+def test_joint_distribution_marginal_memo_matches_direct_sums():
+    cards = (2, 3, 4, 5)
+    schema = small_schema(cards)
+    probs = _random_joint(cards, 4)
+    table = probs.reshape(cards)
+    subsets = _all_subsets(len(cards))
+    rng = np.random.default_rng(5)
+    orders = [sorted(subsets, key=len), sorted(subsets, key=len, reverse=True),
+              *[[subsets[i] for i in rng.permutation(len(subsets))]
+                for _ in range(4)]]
+    for order in orders:
+        d = JointDistribution(probs, schema)  # fresh memo per order
+        for attrs in order:
+            drop = tuple(a for a in range(len(cards)) if a not in attrs)
+            want = table.sum(axis=drop).ravel()
+            got = d.marginal(Query(attrs))
+            assert got.shape == want.shape, attrs
+            assert np.max(np.abs(got - want)) <= 1e-15, attrs
+
+
+def test_joint_distribution_marginal_cannot_change_model():
+    cards = (2, 3, 4, 5)
+    schema = small_schema(cards)
+    probs = _random_joint(cards, 6)
+    d = JointDistribution(probs, schema)
+    before = d.probs.copy()
+    with pytest.raises(ValueError):
+        d.probs[0] = 0.5
+    firsts = {attrs: d.marginal(Query(attrs)).copy()
+              for attrs in _all_subsets(len(cards))}
+    for attrs in _all_subsets(len(cards)):
+        got = d.marginal(Query(attrs))
+        assert not np.shares_memory(got, d.probs), attrs
+        if got.flags.writeable:  # a private copy: writing it is harmless
+            got[...] = -1.0
+        else:
+            with pytest.raises(ValueError):
+                got[...] = -1.0
+    assert np.array_equal(d.probs, before)
+    for attrs, first in firsts.items():
+        assert np.array_equal(d.marginal(Query(attrs)), first), attrs
+
+
+def test_mw_update_chain_matches_direct_formula():
+    cards = (2, 3, 4, 5)
+    schema = small_schema(cards)
+    n = 500
+    rng = np.random.default_rng(7)
+    queries = [Query(a) for a in _all_subsets(len(cards))]
+    dist = JointDistribution(_random_joint(cards, 8), schema)
+    ref = dist.probs.reshape(cards).copy()
+    for r in range(50):
+        q = queries[int(rng.integers(len(queries)))]
+        drop = tuple(a for a in range(len(cards)) if a not in q.attrs)
+        current = n * ref.sum(axis=drop)
+        target = current + rng.normal(0, 20, current.shape)
+        m = NoisyMeasurement(q, target.ravel(), NoiseSpec("laplace-sign", 20.0), r)
+        dist = mw_update(dist, m, n)
+        # the formula before memoization: full-table product, full-table sum
+        step = np.exp((target - current) / (2.0 * n))
+        ref = ref * np.expand_dims(step, drop)
+        ref = ref / ref.sum()
+        assert np.max(np.abs(dist.probs - ref.ravel())) <= 1e-12, r
+        assert abs(dist.probs.sum() - 1.0) <= 1e-12, r
+
+
 def test_select_score_params_validation():
     with pytest.raises(ValueError):
         SelectScoreParams("PGM", 1.0)

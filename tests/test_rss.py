@@ -163,6 +163,32 @@ def test_rand_bit_support_mean_and_determinism():
     assert not np.array_equal(bits, other)
 
 
+def test_mask_bits_are_uniform_bits_per_position():
+    eng = Mpc3Engine(seed=19)
+    bits = eng.reconstruct(eng.mask_bits((3, 1000)))
+    assert bits.shape == (64, 3, 1000)
+    assert set(np.unique(bits).tolist()) <= {0, 1}
+    # every position of the unpacked words is a fair coin
+    means = bits.reshape(64, -1).mean(axis=1)
+    assert np.all(np.abs(means - 0.5) < 0.05)
+    assert eng.transcript.counters["mask_bit"] == 64 * 3000
+    again = Mpc3Engine(seed=19).reconstruct(Mpc3Engine(seed=19).mask_bits((3, 1000)))
+    assert np.array_equal(bits, again)
+
+
+def test_transcript_summary_names_channels():
+    eng = Mpc3Engine(seed=20)
+    eng.mul(eng.share(np.arange(3, dtype=np.uint64)),
+            eng.share(np.arange(3, dtype=np.uint64)))
+    t = eng.transcript
+    chans = t.summary()["channels"]
+    assert list(chans) == sorted(chans)
+    assert {"1->3", "2->1", "3->2"} <= set(chans)
+    assert all(k in {f"{s}->{r}" for s in (1, 2, 3) for r in (1, 2, 3)} for k in chans)
+    assert sum(c["messages"] for c in chans.values()) == t.msg_count
+    assert sum(c["bytes"] for c in chans.values()) == t.byte_count
+
+
 def test_rand_uniform01_range_and_ks():
     eng = Mpc3Engine(seed=17)
     u = fixed.decode(eng.reconstruct(eng.rand_uniform01(100_000)))
