@@ -7,6 +7,13 @@ by share addition (zero messages). Every other query is computed from
 the assembled secret-shared table by the equality-product counting
 protocol, which touches each row once per cell and keeps counts exact:
 integers never pass through truncation.
+
+Every shared cell lies in [0, cardinality): ``local_compute`` rejects a
+holder's plaintext outside it before anything is shared. So a cell and a
+candidate value differ by at most cardinality - 1 < 2^b with
+b = (cardinality - 1).bit_length(), and each equality test runs at width
+b: b mask bits, b - 1 ANDs and one opened word per compared cell, instead
+of 64 bits and 63 ANDs.
 """
 
 from __future__ import annotations
@@ -261,7 +268,9 @@ def local_compute(
     """One holder's contribution: shares of its partial marginals.
 
     ``holder_rows`` is the holder's plaintext view, shaped
-    (n_rows, len(holding.attrs)) in holding-attribute order. Queries the
+    (n_rows, len(holding.attrs)) in holding-attribute order, with every
+    value in [0, cardinality) of its attribute (``SchemaError`` otherwise,
+    raised before anything is shared). Queries the
     holder cannot answer (or that were routed to Q*) get zero vectors,
     keeping the aggregation shape-uniform. When ``share_cells`` is set
     the raw cells are shared too, for the join.
@@ -269,6 +278,12 @@ def local_compute(
     holder_rows = np.asarray(holder_rows, dtype=np.int64)
     if holder_rows.shape != (holding.n_rows, len(holding.attrs)):
         raise SchemaError("holder data shape does not match its holding")
+    for col, a in zip(holder_rows.T, holding.attrs):
+        dom = schema.attrs[a]
+        if col.size and (col.min() < 0 or col.max() >= dom.cardinality):
+            raise SchemaError(
+                f"attribute {dom.name!r}: holder values outside [0, {dom.cardinality})"
+            )
     col_of = {a: i for i, a in enumerate(holding.attrs)}
     qstar_set = set(qstar)
     partials = {}
@@ -311,6 +326,13 @@ def p_way_marginal(eng, shared_data, query: Query, schema: Schema,
     equality test per attribute: k * n * prod(cardinalities) equality
     tests, (k-1) * n * prod(cardinalities) multiplications. Counts are
     exact integers.
+
+    Contract: every shared cell of a queried attribute lies in
+    [0, cardinality). The test on an attribute then runs at width
+    b = (cardinality - 1).bit_length() (``sec_eq``'s ``nbits``), taken
+    from the public schema: b mask bits, b - 1 ANDs and one opened word
+    per compared cell. A cell of 2^b or more breaks the width contract;
+    the plaintext engine raises ``RangeContractError`` on it.
     """
     sizes = [schema.attrs[a].cardinality for a in query.attrs]
     total = prod(sizes)
@@ -333,7 +355,7 @@ def p_way_marginal(eng, shared_data, query: Query, schema: Schema,
             target = np.broadcast_to(
                 chunk[:, j : j + 1].astype(np.uint64), (len(chunk), n)
             )
-            e = sec_eq(eng, col, target)
+            e = sec_eq(eng, col, target, nbits=(sizes[j] - 1).bit_length())
             m = e if m is None else eng.mul(m, e)
         parts.append(eng.sum_axis(m, axis=1))
     return eng.concat(parts, axis=0)

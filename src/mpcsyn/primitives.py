@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .fixed import F, FX_ONE, as_word, encode
-from .rss import PlainVec, U64, prefix_scan
+from .rss import PlainVec, RangeContractError, U64, check_width, prefix_scan
 
 EXP_DOMAIN = (-16.0, 0.0)
 LN_DOMAIN = (2.0**-F, 2.0)
@@ -112,23 +112,38 @@ def _and_reduce(eng, leaves):
     return eng.index(cur, 0)
 
 
-def sec_eq(eng, x, other):
+def sec_eq(eng, x, other, nbits: int = 64):
     """Share of [x == other]; ``other`` is a public integer array or a share.
 
-    Exact for any 64-bit values: the masked difference is opened and
-    compared bitwise against the mask, so no range contract is needed
-    beyond what the subtraction itself implies.
+    Width contract: the signed difference d = x - other satisfies
+    |d| < 2^nbits, so d == 0 iff its low ``nbits`` bits are zero (bounded
+    equality, Catrina-de Hoogh). The default of 64 holds for any words.
+    The masked difference is opened with a width-``nbits`` mask and its
+    low bits are compared with the mask's shared bits. Cost per element:
+    ``nbits`` mask bits, one opened word and nbits - 1 ANDs in a tree of
+    depth ceil(log2 nbits), so 3 + ceil(log2 nbits) rounds. The plaintext
+    engine raises ``RangeContractError`` when the contract is broken.
     """
+    check_width(nbits)
     if isinstance(other, (int, np.integer, np.ndarray)):
         d = eng.sub_const(x, as_word(np.broadcast_to(np.asarray(other), x.shape)))
     else:
         d = eng.sub(x, other)
     eng.count("eq", d.size)
     if eng.is_plain:
+        if nbits < 64 and np.any(_outside_width(d.raw, nbits)):
+            raise RangeContractError(f"sec_eq: a difference has |d| >= 2^{nbits}")
         return PlainVec((d.raw == 0).astype(U64))
-    m, bits = eng.masked_open(d)
-    # d == 0 iff the opened word equals the mask, i.e. all 64 bit pairs agree
-    return _and_reduce(eng, _xor_pub(eng, bits, np.uint64(1) - _pub_bits(m, 64)))
+    m, bits = eng.masked_open(d, nbits)
+    # d == 0 iff the opened low bits equal the mask bits, all nbits pairs
+    return _and_reduce(eng, _xor_pub(eng, bits, np.uint64(1) - _pub_bits(m, nbits)))
+
+
+def _outside_width(d: np.ndarray, nbits: int) -> np.ndarray:
+    """[|d| >= 2^nbits] for signed words d, nbits < 64: d lies in
+    (-2^nbits, 2^nbits) iff d + 2^nbits - 1 (mod 2^64) < 2^(nbits+1) - 1."""
+    with np.errstate(over="ignore"):
+        return d + np.uint64((1 << nbits) - 1) >= np.uint64((2 << nbits) - 1)
 
 
 def _sign_bit(eng, d):

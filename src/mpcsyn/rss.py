@@ -83,6 +83,16 @@ class DegenerateInputError(ValueError):
     """A protocol input is outside its usable domain (e.g. all-zero weights)."""
 
 
+class RangeContractError(ValueError):
+    """A value breaks a primitive's documented range contract."""
+
+
+def check_width(nbits: int) -> None:
+    """Reject a mask or equality width outside [1, 64] bits."""
+    if not 1 <= nbits <= 64:
+        raise ValueError(f"mask width {nbits} outside [1, 64]")
+
+
 def _philox(master_seed: int, purpose: int, idx: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(purpose, idx))
     return np.random.Generator(np.random.Philox(ss))
@@ -613,17 +623,20 @@ class Mpc3Engine(_EngineBase):
             base.data[:, :, rslice, cols] = vec.data
         return base
 
-    def mask_bits(self, shape) -> ShareVec:
-        """64 uniform shared bits per element of ``shape``, stacked on a new
-        leading axis (mask purpose streams).
+    def mask_bits(self, shape, nbits: int = 64) -> ShareVec:
+        """``nbits`` uniform shared bits per element of ``shape``, stacked on
+        a new leading axis (mask purpose streams).
 
         Each pairwise stream draws one raw 64-bit word per element; the
-        word's bits are that element's 64 bits from the stream.
+        word's low ``nbits`` bits are that element's bits from the stream.
+        Cost: ``nbits`` ``mask_bit`` per element and two resharings of the
+        (nbits, *shape) bits (2 rounds, 6 messages).
         """
+        check_width(nbits)
         shape = _as_shape(shape)
         n = int(np.prod(shape, dtype=np.int64))
-        self.count("mask_bit", 64 * n)
-        pos = _BIT_POS.reshape((64,) + (1,) * len(shape))
+        self.count("mask_bit", nbits * n)
+        pos = _BIT_POS[:nbits].reshape((nbits,) + (1,) * len(shape))
         draws = [(g.bit_generator.random_raw(n).reshape(shape) >> pos) & np.uint64(1)
                  for g in self._mask_streams]
         return self._xor3(*draws)
@@ -654,14 +667,28 @@ class Mpc3Engine(_EngineBase):
         t[0, ...] += b2
         return self._from_components(*t)
 
-    def masked_open(self, x: ShareVec) -> tuple[np.ndarray, ShareVec]:
-        """Open x + r for a fresh 64-bit shared-bit mask r; returns (public, bits).
+    def masked_open(self, x: ShareVec, nbits: int = 64) -> tuple[np.ndarray, ShareVec]:
+        """Open x + r for a fresh mask r of width ``nbits``; returns
+        (public, bits).
 
-        The opened value is uniform, so it reveals nothing; the caller
-        extracts what it needs from the public word plus the shared bits.
+        r = sum_{j < nbits} 2^j bits[j] + 2^nbits R: the low ``nbits`` bits
+        are shared bits (``mask_bits``) and R is a ring element whose three
+        components come from the pairwise mask streams, so it costs no
+        messages (the edaBits construction). The opened word is uniform, so
+        it reveals nothing, and its low ``nbits`` bits equal
+        (x + sum 2^j bits[j]) mod 2^nbits; the caller extracts what it
+        needs from those and the shared bits. Cost: ``nbits`` mask bits
+        per element, their two resharings and one opening (3 rounds).
         """
-        bits = self.mask_bits(x.shape)
-        m = self.open(self.add(x, self._bit_sum(bits, _BIT_WEIGHTS)))
+        bits = self.mask_bits(x.shape, nbits)
+        r = self._bit_sum(bits, _BIT_WEIGHTS[:nbits])
+        if nbits < 64:
+            n = int(np.prod(x.shape, dtype=np.int64))
+            high = [g.bit_generator.random_raw(n).reshape(x.shape) << np.uint64(nbits)
+                    for g in self._mask_streams]
+            # stream p is known to pair {p, p+1}: their common component p+1
+            r = self.add(r, self._from_components(high[2], high[0], high[1]))
+        m = self.open(self.add(x, r))
         return m, bits
 
     def borrow_taps(self, m: np.ndarray, bits: ShareVec, taps) -> ShareVec:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpcsyn import marginals as M
-from mpcsyn.rss import make_engine
+from mpcsyn.rss import RangeContractError, make_engine
 
 
 def small_schema():
@@ -183,6 +183,23 @@ def test_pi_join_uncovered_cell_rejected():
 
 
 @pytest.mark.parametrize("backend", ("mpc", "cdp"))
+def test_local_compute_rejects_values_outside_cardinality(backend):
+    schema = small_schema()
+    wl = M.Workload((M.Query((0,)), M.Query((0, 1))))
+    h = M.Holding((0, 3), (0, 1))
+    for bad in ([[0, 1], [5, 0], [1, 1]], [[0, 1], [1, -1], [1, 1]]):
+        eng = make_engine(backend, seed=82)
+        with pytest.raises(M.SchemaError):
+            M.local_compute(eng, np.array(bad), h, wl, schema, qstar=[], share_cells=True)
+        # rejected on the plaintext, before anything was shared
+        assert eng.transcript.msg_count == 0
+    vert = M.Holding((0, 2), (1,))
+    with pytest.raises(M.SchemaError):
+        M.local_compute(make_engine(backend, seed=83), np.array([[1], [2]]), vert, wl,
+                        schema, qstar=[M.Query((0, 1))], share_cells=True)
+
+
+@pytest.mark.parametrize("backend", ("mpc", "cdp"))
 def test_p_way_marginal_pinned_and_random(backend):
     eng = make_engine(backend, seed=89)
     rng = np.random.default_rng(89)
@@ -205,6 +222,26 @@ def test_p_way_equality_count_instrumented():
     M.p_way_marginal(eng, eng.share(rows), M.Query((0, 1, 2)), schema)
     assert eng.transcript.counters["eq"] == 3 * 50 * 12
     assert eng.transcript.counters["mul"] == 2 * 50 * 12
+
+
+def test_p_way_mask_bits_follow_cardinality_widths():
+    # widths (3-1, 2-1, 2-1).bit_length() = (2, 1, 1) mask bits per compared cell
+    eng = make_engine("mpc", seed=97)
+    rng = np.random.default_rng(97)
+    schema = M.Schema((M.AttrDomain("a", 3), M.AttrDomain("b", 2), M.AttrDomain("c", 2)))
+    rows = rng.integers(0, 2, size=(50, 3)).astype(np.uint64)
+    M.p_way_marginal(eng, eng.share(rows), M.Query((0, 1, 2)), schema)
+    assert eng.transcript.counters["mask_bit"] == (2 + 1 + 1) * 50 * 12
+
+
+def test_p_way_cdp_fails_closed_on_cells_outside_width():
+    for card, bad in ((2, 2), (2, 7), (4, 4), (3, 4), (5, 8), (3, (1 << 64) - 4)):
+        eng = make_engine("cdp", seed=98)
+        schema = M.Schema((M.AttrDomain("a", card), M.AttrDomain("b", 2)))
+        rows = np.array([[0, 1], [bad, 0], [1, 1]], dtype=np.uint64)
+        for q in (M.Query((0,)), M.Query((0, 1))):
+            with pytest.raises(RangeContractError):
+                M.p_way_marginal(eng, eng.share(rows), q, schema)
 
 
 def test_p_way_cell_budget():

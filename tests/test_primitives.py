@@ -7,7 +7,7 @@ import pytest
 
 from mpcsyn import fixed
 from mpcsyn import primitives as prim
-from mpcsyn.rss import Mpc3Engine, make_engine
+from mpcsyn.rss import Mpc3Engine, RangeContractError, make_engine
 
 BACKENDS = ("mpc", "cdp")
 
@@ -37,6 +37,80 @@ def test_sec_eq_shared_rhs(backend):
     b = rng.integers(0, 12, size=2000, dtype=np.uint64)
     got = eng.reconstruct(prim.sec_eq(eng, eng.share(a), eng.share(b)))
     assert np.array_equal(got, (a == b).astype(np.uint64))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sec_eq_bounded_width_exhaustive(backend):
+    # every x, c in [0, card) at the width a cardinality needs
+    for card in range(2, 10):
+        nbits = (card - 1).bit_length()
+        eng = make_engine(backend, seed=100 + card)
+        x = np.repeat(np.arange(card, dtype=np.uint64), card)
+        c = np.tile(np.arange(card, dtype=np.uint64), card)
+        want = (x == c).astype(np.uint64)
+        got = eng.reconstruct(prim.sec_eq(eng, eng.share(x), c, nbits=nbits))
+        assert np.array_equal(got, want), card
+        got = eng.reconstruct(prim.sec_eq(eng, eng.share(x), eng.share(c), nbits=nbits))
+        assert np.array_equal(got, want), card
+        assert eng.transcript.counters["eq"] == 2 * card * card
+
+
+def _eq_records(n: int, nbits: int) -> list[tuple[int, int, int, int]]:
+    """(round, sender, receiver, bytes) of one sec_eq on n elements, rounds
+    counted from 1: two resharings of the nbits mask bits, one opening to
+    all parties, then one resharing per level of the AND tree."""
+    reshare = [(2, 1), (3, 2), (1, 3)]
+    opening = [(2, 1), (3, 1), (3, 2), (1, 2), (1, 3), (2, 3)]
+    recs = [(r, s, t, 8 * nbits * n) for r in (1, 2) for s, t in reshare]
+    recs += [(3, s, t, 8 * n) for s, t in opening]
+    rnd, length = 3, nbits
+    while length > 1:
+        rnd += 1
+        recs += [(rnd, s, t, 8 * (length // 2) * n) for s, t in reshare]
+        length = (length + 1) // 2
+    return recs
+
+
+@pytest.mark.parametrize("nbits", (None, 1, 2, 3, 5, 64))
+def test_sec_eq_records_closed_form_and_data_independent(nbits):
+    # None is the default call, whose records are those of the 64-bit test
+    width = 64 if nbits is None else nbits
+    kwargs = {} if nbits is None else {"nbits": nbits}
+    n = 7
+    for data_seed in (0, 1, 2):
+        vals = np.random.default_rng(data_seed).integers(0, 1 << min(width, 8), n).astype(np.uint64)
+        eng = Mpc3Engine(seed=110, record_messages=True)
+        x = eng.share(vals)
+        start, skip = eng.transcript.rounds, len(eng.transcript.records)
+        prim.sec_eq(eng, x, np.zeros(n, dtype=np.uint64), **kwargs)
+        got = [(r - start, s, t, b) for r, _, s, t, b in eng.transcript.records[skip:]]
+        assert got == _eq_records(n, width)
+        assert eng.transcript.rounds - start == 3 + (width - 1).bit_length()
+        assert eng.transcript.counters["mask_bit"] == width * n
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sec_eq_rejects_bad_width(backend):
+    eng = make_engine(backend, seed=111)
+    x = eng.share(np.uint64(1))
+    for nbits in (0, 65):
+        with pytest.raises(ValueError):
+            prim.sec_eq(eng, x, 1, nbits=nbits)
+
+
+def test_sec_eq_plain_fails_closed_outside_width():
+    eng = make_engine("cdp", seed=112)
+    for nbits in (1, 2, 3, 10, 63):
+        edge = np.uint64((1 << nbits) - 1)
+        # |d| = 2^nbits - 1 is inside the contract, on either sign
+        assert int(prim.sec_eq(eng, eng.share(edge), 0, nbits=nbits).raw) == 0
+        assert int(prim.sec_eq(eng, eng.share(np.uint64(0)), edge, nbits=nbits).raw) == 0
+        for x, c in ((edge + np.uint64(1), 0), (0, edge + np.uint64(1))):
+            with pytest.raises(RangeContractError):
+                prim.sec_eq(eng, eng.share(np.uint64(x)), c, nbits=nbits)
+    # one bad element anywhere fails the whole call
+    with pytest.raises(RangeContractError):
+        prim.sec_eq(eng, eng.share(np.array([0, 1, 5], dtype=np.uint64)), 1, nbits=2)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

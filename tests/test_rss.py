@@ -176,6 +176,35 @@ def test_mask_bits_are_uniform_bits_per_position():
     assert np.array_equal(bits, again)
 
 
+@pytest.mark.parametrize("nbits", (1, 2, 5, 63))
+def test_mask_bits_width(nbits):
+    eng = Mpc3Engine(seed=21)
+    bits = eng.reconstruct(eng.mask_bits((2, 500), nbits))
+    assert bits.shape == (nbits, 2, 500)
+    assert set(np.unique(bits).tolist()) <= {0, 1}
+    assert np.all(np.abs(bits.reshape(nbits, -1).mean(axis=1) - 0.5) < 0.07)
+    assert eng.transcript.counters["mask_bit"] == nbits * 1000
+    assert eng.transcript.rounds == 2
+    with pytest.raises(ValueError):
+        eng.mask_bits(3, 0)
+
+
+@pytest.mark.parametrize("nbits", (1, 2, 5, 64))
+def test_masked_open_word_uniform_for_fixed_input(nbits):
+    eng = Mpc3Engine(seed=22)
+    n = 40_000
+    x = np.full(n, 3, dtype=np.uint64)
+    m, bits = eng.masked_open(eng.share(x), nbits)
+    # the low nbits bits of the opened word are (x + mask bits) mod 2^nbits
+    low = np.sum(eng.reconstruct(bits) << np.arange(nbits, dtype=np.uint64)[:, None],
+                 axis=0, dtype=np.uint64)
+    keep = np.uint64((1 << nbits) - 1)
+    assert np.array_equal((m - x - low) & keep, np.zeros(n, dtype=np.uint64))
+    for byte in (m & np.uint64(0xFF), m >> np.uint64(56)):
+        counts = np.bincount(byte.astype(np.int64), minlength=256)
+        assert stats.chisquare(counts).pvalue > 1e-3, nbits
+
+
 def test_transcript_summary_names_channels():
     eng = Mpc3Engine(seed=20)
     eng.mul(eng.share(np.arange(3, dtype=np.uint64)),
