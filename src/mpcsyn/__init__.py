@@ -9,7 +9,7 @@ Layers, bottom up:
 - ``mechanisms`` DP randomizers: random selection, Gaussian/Laplace noise
 - ``pipeline``   select-measure-generate orchestration (mpc and cdp backends)
 - ``dataio``     CSV/domain ingestion, partitioning, workload error metric
-- ``cli``        command-line surface (gen / metrics / bench)
+- ``cli``        command-line surface (gen / metrics)
 """
 
 __version__ = "0.1.0"

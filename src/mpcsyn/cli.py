@@ -1,4 +1,4 @@
-"""Command-line surface: generate synthetic data, score it, benchmark.
+"""Command-line surface: generate synthetic data and score it.
 
 Exit codes: 0 on success, 1 for user-correctable problems (bad flags,
 unreadable files, inconsistent configuration), 2 for internal faults.
@@ -7,28 +7,14 @@ unreadable files, inconsistent configuration), 2 for internal faults.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import dataio
-from .marginals import (
-    AttrDomain,
-    Dataset,
-    Query,
-    Schema,
-    Workload,
-    compute_workload_answers,
-    horizontal_plan,
-    vertical_plan,
-)
+from .marginals import Schema, Workload
 from .pipeline import PrivacyBudget, run_pipeline
-from .rss import make_engine
 
 _NOISE = {
     "ih": "gaussian-irwin-hall",
@@ -71,18 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--out", help="report JSON path (default: stdout)")
     m.set_defaults(func=cmd_metrics)
 
-    b = sub.add_parser(
-        "bench",
-        help="aggregation scaling sweep; CSV of counts, bytes, runtimes")
-    b.add_argument("--sizes", default="250,500,1000",
-                   help="comma-separated row counts")
-    b.add_argument("--holders", default="2,3",
-                   help="holder counts for the horizontal sweep")
-    b.add_argument("--qstar", default="1,3",
-                   help="cross-holder query counts for the vertical sweep")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--out", help="CSV path (default: stdout)")
-    b.set_defaults(func=cmd_bench)
     return p
 
 
@@ -128,49 +102,6 @@ def cmd_metrics(args) -> int:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return 0
-
-
-def _bench_case(n: int, mode: str, holders: int, qstar: int, seed: int):
-    """One aggregation run on random 4-attribute data; returns a CSV row."""
-    cards = [3, 3, 3, 3]
-    rng = np.random.default_rng(seed)
-    schema = Schema(tuple(AttrDomain(f"a{j}", c) for j, c in enumerate(cards)))
-    ds = Dataset(rng.integers(0, cards, size=(n, 4)), schema)
-    if mode == "horizontal":
-        plan = horizontal_plan(n, 4, holders)
-        wl = dataio.build_workload(schema)
-    else:
-        plan = vertical_plan(n, 4, [[0, 1], [2, 3]])
-        crossing = [Query(q) for q in [(0, 2), (0, 3), (1, 2), (1, 3)]]
-        wl = Workload(tuple(crossing[:qstar]))
-    eng = make_engine("mpc", seed=seed)
-    t0 = time.perf_counter()
-    compute_workload_answers(eng, ds, plan, wl)
-    ms = (time.perf_counter() - t0) * 1000.0
-    c = eng.transcript.counters
-    return (mode, n, holders, qstar if mode == "vertical" else 0,
-            c.get("eq", 0), c.get("mul", 0), eng.transcript.msg_count,
-            eng.transcript.byte_count, round(ms, 3))
-
-
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    holders = [int(s) for s in args.holders.split(",") if s]
-    qstars = [int(s) for s in args.qstar.split(",") if s]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["mode", "n", "holders", "qstar", "eq", "mul",
-                     "messages", "bytes", "runtime_ms"])
-    for n in sizes:
-        for nh in holders:
-            writer.writerow(_bench_case(n, "horizontal", nh, 0, args.seed))
-        for k in qstars:
-            writer.writerow(_bench_case(n, "vertical", 2, k, args.seed))
-    if args.out:
-        Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
-    else:
-        sys.stdout.write(buf.getvalue())
     return 0
 
 

@@ -15,6 +15,7 @@ and measure shares are Fractions that sum back to the configured total.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -105,13 +106,39 @@ class PrivacyBudget:
         }
 
 
+def _partial_sum(full: np.ndarray, attrs: tuple, memo: dict) -> np.ndarray:
+    """Table over the sorted ``attrs`` of the full table ``full``.
+
+    The table over S is the table over S + {a}, a the largest attribute
+    outside S, summed over a's axis; the full set is ``full`` itself, and
+    every smaller table is kept read-only in ``memo``. Going down from the
+    full table, the lowest attributes outside S go first, so queries that
+    agree below their first missing attribute share each pass: a round's
+    1- and 2-way queries make a few full-table passes instead of one each.
+    Every caller reduces in this one order, so a marginal has the same
+    floats whichever table or memo it comes from.
+    """
+    if len(attrs) == full.ndim:
+        return full
+    hit = memo.get(attrs)
+    if hit is not None:
+        return hit
+    a = max(set(range(full.ndim)) - set(attrs))
+    parent = tuple(sorted(attrs + (a,)))
+    table = np.asarray(_partial_sum(full, parent, memo)
+                       .sum(axis=parent.index(a)))
+    table.flags.writeable = False  # cached: shared by every caller
+    memo[attrs] = table
+    return table
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Explicit joint model over the full attribute domain (party 1 state).
 
-    Marginals are memoized per instance (each update builds a new one), so
-    ``probs`` is a read-only view; it is not a copy of the caller's array,
-    which must not be written afterwards either.
+    Marginals are memoized per instance (each round's ``mw_update`` builds
+    one new instance), so ``probs`` is a read-only view; it is not a copy
+    of the caller's array, which must not be written afterwards either.
     """
 
     probs: np.ndarray
@@ -141,27 +168,10 @@ class JointDistribution:
         return cls(np.full(size, 1.0 / size), schema)
 
     def _table(self, attrs: tuple) -> np.ndarray:
-        """Read-only table over the sorted ``attrs``, axes in attribute order.
-
-        The table over S is the memoized table over S + {a}, a the largest
-        attribute outside S, summed over a's axis; the full set is
-        ``probs`` itself. Going down from the full table, the lowest
-        attributes outside S go first, so queries that agree below their
-        first missing attribute share each pass: a round's 1- and 2-way
-        queries make a few full-table passes instead of one each.
-        """
-        hit = self._memo.get(attrs)
-        if hit is not None:
-            return hit
-        if len(attrs) == self.schema.dims:
-            table = self.probs.reshape(self.schema.cardinalities)
-        else:
-            a = max(set(range(self.schema.dims)) - set(attrs))
-            parent = tuple(sorted(attrs + (a,)))
-            table = np.asarray(self._table(parent).sum(axis=parent.index(a)))
-            table.flags.writeable = False  # cached: shared by every caller
-        self._memo[attrs] = table
-        return table
+        """Read-only table over the sorted ``attrs``, axes in attribute
+        order, from the instance's memo (see ``_partial_sum``)."""
+        return _partial_sum(self.probs.reshape(self.schema.cardinalities),
+                            attrs, self._memo)
 
     def marginal(self, query: Query) -> np.ndarray:
         """Model marginal on the query attrs, row-major, as probabilities.
@@ -277,26 +287,40 @@ def select_mwem(eng, shared_counts, model_answers, workload: Workload,
     return workload.queries[idx - 1]
 
 
-def mw_update(dist: JointDistribution, m: NoisyMeasurement,
-              n: int) -> JointDistribution:
-    """Multiplicative-weights step toward one noisy marginal.
+def mw_update(dist: JointDistribution, m: NoisyMeasurement, n: int, *,
+              replay: Sequence[NoisyMeasurement] = ()) -> JointDistribution:
+    """Multiplicative-weights steps toward noisy marginals: each of
+    ``replay`` in order, then ``m``.
 
-    The current marginal comes from the model's memo of partial sums.
-    Since the step is constant along the dropped axes, the normalizer
-    sum_cells table * step equals sum_(query cells) marginal * step, so
-    the step is divided by that small sum before the one full-table
-    multiply. Post-processing only: consumes a NoisyMeasurement and the
-    public model, never shares or raw rows.
+    The steps run on one private working table: the first step's product
+    with the model's table is the copy, later steps multiply into it in
+    place, and only the result is wrapped (and validated) as a new
+    model. Each step reads its current marginal from the table it
+    updates: the first from the model's memo, the others by the same
+    reduction order on the working table. Since the step is constant
+    along the dropped axes, the normalizer sum_cells table * step equals
+    sum_(query cells) marginal * step, so the step is divided by that
+    small sum before the one full-table multiply. A NaN or +inf in any
+    measurement turns the result into NaN and fails the validation.
+    Post-processing only: consumes NoisyMeasurements and the public
+    model, never shares or raw rows.
     """
-    marg = dist._table(m.query.attrs)
-    drop = tuple(a for a in range(dist.schema.dims)
-                 if a not in m.query.attrs)
-    target = np.asarray(m.values, dtype=np.float64).reshape(marg.shape)
-    step = np.exp((target - n * marg) / (2.0 * n))
-    step /= (marg * step).sum()
-    table = dist.probs.reshape(dist.schema.cardinalities)
-    updated = table * np.expand_dims(step, drop)
-    return JointDistribution(updated.ravel(), dist.schema)
+    shape = dist.schema.cardinalities
+    table = None
+    for meas in (*replay, m):
+        attrs = meas.query.attrs
+        marg = dist._table(attrs) if table is None \
+            else _partial_sum(table, attrs, {})
+        target = np.asarray(meas.values, dtype=np.float64).reshape(marg.shape)
+        step = np.exp((target - n * marg) / (2.0 * n))
+        step /= (marg * step).sum()
+        step = np.expand_dims(step, tuple(a for a in range(len(shape))
+                                          if a not in attrs))
+        if table is None:
+            table = dist.probs.reshape(shape) * step
+        else:
+            table *= step
+    return JointDistribution(table.ravel(), dist.schema)
 
 
 def sample_synthetic(dist: JointDistribution, n_out: int,
@@ -359,8 +383,7 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
         qi = workload.queries.index(selected)
         m = pi_measure(eng, shared_counts[qi], selected, noise, r)
         measurements.append(m)
-        for meas in measurements:
-            dist = mw_update(dist, meas, n)
+        dist = mw_update(dist, m, n, replay=measurements[:-1])
         rounds_log.append({
             "selected_query": list(selected.attrs),
             "epsilon_select": str(budget.epsilon_select),

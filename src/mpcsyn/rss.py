@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixed import F, HALF, as_word, encode, trunc_word
+from .fixed import F, HALF, as_word, decode, encode, trunc_word
 
 U64 = np.uint64
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -349,7 +349,8 @@ class _EngineBase:
         Integer constants are exact and local; otherwise the encoded
         constant is split into two 16-bit limbs, each applied by a local
         integer multiply followed by a truncation. Contract: |value| < 2^15
-        and |value * c| < 2^15 (enough for count-scale pipeline data).
+        and |value * c| < 2^15 (enough for count-scale pipeline data); the
+        plaintext engine raises ``RangeContractError`` when it is broken.
         """
         cf = float(c)
         if cf == int(cf):
@@ -886,6 +887,21 @@ class PlainEngine(_EngineBase):
     def trunc(self, x: PlainVec, g: int = F) -> PlainVec:
         self.count("trunc", x.size)
         return PlainVec(trunc_word(x.raw, g))
+
+    def scale_pub(self, x: PlainVec, c: float) -> PlainVec:
+        """The engine's ``scale_pub``, failing closed with
+        ``RangeContractError`` when a non-integer constant meets a value
+        outside its contract (|value| < 2^15 and |value * c| < 2^15).
+        The protocol runs the same code on the same values, so a ``cdp``
+        run that passes certifies the ``mpc`` run."""
+        cf = float(c)
+        if cf != int(cf):
+            mag = np.abs(decode(x.raw))
+            if np.any(mag >= 2.0**15) or np.any(mag * abs(cf) >= 2.0**15):
+                raise RangeContractError(
+                    f"scale_pub by {cf}: a value or its product has "
+                    f"magnitude >= 2^15")
+        return super().scale_pub(x, c)
 
     def assemble(self, shape, placements) -> PlainVec:
         base = np.zeros(shape, dtype=U64)

@@ -1,6 +1,5 @@
 """End-to-end tests for the command-line interface."""
 
-import csv
 import json
 from pathlib import Path
 
@@ -146,41 +145,3 @@ def test_metrics_subcommand(tmp_path, capsys):
                      "--domain", TOY_DOMAIN, "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["workload_error"] == 0.0
-
-
-def test_bench_csv_counts(tmp_path):
-    out = tmp_path / "bench.csv"
-    code = cli.main(["bench", "--sizes", "30,60", "--holders", "2",
-                     "--qstar", "1,2", "--out", str(out)])
-    assert code == 0
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2 * 3  # per size: one horizontal + two vertical
-
-    for row in rows:
-        n, k = int(row["n"]), int(row["qstar"])
-        if row["mode"] == "horizontal":
-            # row partition: marginals are sums of local tables, no
-            # comparisons and constant traffic in n
-            assert int(row["eq"]) == 0
-            assert int(row["mul"]) == 0
-            assert int(row["messages"]) > 0
-        else:
-            # column partition, omega = 3 per attribute: 2 * n * 9 * k
-            # equality tests and n * 9 * k products
-            assert int(row["eq"]) == 2 * n * 9 * k
-            assert int(row["mul"]) == n * 9 * k
-        float(row["runtime_ms"])
-
-    vert = {(int(r["n"]), int(r["qstar"])): r for r in rows
-            if r["mode"] == "vertical"}
-    assert int(vert[(60, 1)]["eq"]) == 2 * int(vert[(30, 1)]["eq"])
-    assert int(vert[(60, 2)]["bytes"]) > int(vert[(60, 1)]["bytes"])
-
-
-def test_bench_stdout_default(capsys):
-    assert cli.main(["bench", "--sizes", "20", "--holders", "2",
-                     "--qstar", "1"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("mode,n,holders,qstar")
-    assert len(lines) == 3

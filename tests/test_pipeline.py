@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mpcsyn import fixed
+from mpcsyn import fixed, pipeline
 from mpcsyn.marginals import (
     AttrDomain,
     Dataset,
@@ -193,6 +193,68 @@ def test_mw_update_chain_matches_direct_formula():
         assert np.max(np.abs(dist.probs - ref.ravel())) <= 1e-12, r
         assert abs(dist.probs.sum() - 1.0) <= 1e-12, r
 
+
+
+def _noisy_measurements(dist, n, attrs_list, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for r, attrs in enumerate(attrs_list):
+        current = n * dist.marginal(Query(attrs))
+        target = current + rng.normal(0, 20, current.shape)
+        out.append(NoisyMeasurement(Query(attrs), target,
+                                    NoiseSpec("laplace-sign", 20.0), r))
+    return out
+
+
+def test_mw_update_replay_matches_chained_steps():
+    cards = (2, 3, 4, 5)
+    schema = small_schema(cards)
+    n = 500
+    subsets = _all_subsets(len(cards))
+    rng = np.random.default_rng(9)
+    for trial in range(4):
+        dist = JointDistribution(_random_joint(cards, 10 + trial), schema)
+        picks = [subsets[int(i)] for i in rng.integers(len(subsets), size=8)]
+        # the empty and the full attribute set mid-replay, in every trial
+        picks[2:2] = [(), tuple(range(len(cards)))]
+        ms = _noisy_measurements(dist, n, picks, trial)
+        for k in range(len(ms)):
+            chained = dist
+            for m in ms[:k + 1]:
+                chained = mw_update(chained, m, n)
+            replayed = mw_update(dist, ms[k], n, replay=ms[:k])
+            assert np.array_equal(replayed.probs, chained.probs), (trial, k)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mw_update_replay_rejects_non_finite_measurement(bad):
+    cards = (2, 3, 4, 5)
+    schema = small_schema(cards)
+    dist = JointDistribution(_random_joint(cards, 11), schema)
+    ms = _noisy_measurements(dist, 500, [(0,), (1, 2), (3,), (0, 3)], 12)
+    values = ms[1].values.copy()
+    values[1] = bad
+    ms[1] = NoisyMeasurement(ms[1].query, values, ms[1].noise,
+                             ms[1].round_index)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        mw_update(dist, ms[-1], 500, replay=ms[:-1])
+
+
+def test_mw_update_replay_leaves_input_model_unchanged():
+    cards = (2, 3, 4, 5)
+    schema = small_schema(cards)
+    dist = JointDistribution(_random_joint(cards, 13), schema)
+    for attrs in _all_subsets(len(cards)):
+        dist.marginal(Query(attrs))  # fill the memo, as a round does
+    probs = dist.probs.copy()
+    memo = {k: v.copy() for k, v in dist._memo.items()}
+    ms = _noisy_measurements(dist, 500, [(0, 1), (0, 1, 2, 3), (2,), (0, 1)],
+                             14)
+    mw_update(dist, ms[-1], 500, replay=ms[:-1])
+    assert np.array_equal(dist.probs, probs)
+    assert dist._memo.keys() == memo.keys()
+    for k, v in memo.items():
+        assert np.array_equal(dist._memo[k], v), k
 
 def test_select_score_params_validation():
     with pytest.raises(ValueError):
@@ -432,6 +494,22 @@ def test_run_pipeline_single_query_round():
     assert [r["selected_query"] for r in log["rounds"]] == [[0, 1]]
     assert synth.rows.shape == (60, 3)
 
+
+
+def test_run_pipeline_one_mw_update_per_round(monkeypatch):
+    calls = []
+
+    def counted(dist, m, n, *, replay=()):
+        calls.append(len(replay))
+        return mw_update(dist, m, n, replay=replay)
+
+    monkeypatch.setattr(pipeline, "mw_update", counted)
+    ds, wl = _toy_instance(n=60, seed=6)
+    budget = PrivacyBudget(1.0, 1e-9, 5)
+    run_pipeline(ds, horizontal_plan(60, 3, 2), wl, budget, algo="MWEM",
+                 backend="cdp", seed=3)
+    # one call per round, replaying every earlier measurement
+    assert calls == [0, 1, 2, 3, 4]
 
 def test_run_pipeline_backend_equivalence():
     ds, wl = _toy_instance(n=200, seed=2)

@@ -5,7 +5,13 @@ import pytest
 from scipy import stats
 
 from mpcsyn import fixed
-from mpcsyn.rss import IntegrityError, Mpc3Engine, PlainEngine, make_engine
+from mpcsyn.rss import (
+    IntegrityError,
+    Mpc3Engine,
+    PlainEngine,
+    RangeContractError,
+    make_engine,
+)
 
 
 def test_share_reconstruct_round_trip():
@@ -265,6 +271,32 @@ def test_scale_pub_accuracy_and_integer_fast_path():
         got = fixed.decode(eng.reconstruct(z))
         assert np.max(np.abs(got - vals * 0.4915)) < 2.0**-30 * (1 + np.abs(vals).max())
 
+
+
+def test_scale_pub_plain_fails_closed_outside_contract():
+    # both reproduce silent wraps: |x| >= 2^15, and |x * c| >= 2^15
+    eng = make_engine("cdp", seed=23)
+    for x, c in ((-100000.0, 0.025), (22.0, 3000.3)):
+        with pytest.raises(RangeContractError):
+            eng.scale_pub(eng.share(fixed.encode(x)), c)
+    # one bad element anywhere fails the whole call
+    with pytest.raises(RangeContractError):
+        eng.scale_pub(eng.share(fixed.encode([1.0, 2.0**15, 3.0])), 0.5)
+    # integer constants are exact at any magnitude and carry no contract
+    y = eng.scale_pub(eng.share(fixed.encode(-100000.0)), 3.0)
+    assert fixed.decode(eng.reconstruct(y)) == -300000.0
+
+
+def test_scale_pub_just_inside_contract():
+    top = 2.0**15 - 2.0**-16
+    vals = np.array([top, -top, 32767.0, 3000.0, -3000.0])
+    consts = np.array([0.5, 0.999, -0.999, 10.9, -10.9])
+    for backend in ("mpc", "cdp"):
+        eng = make_engine(backend, seed=24)
+        for v, c in zip(vals, consts):
+            y = eng.scale_pub(eng.share(fixed.encode(v)), c)
+            got = fixed.decode(eng.reconstruct(y))
+            assert abs(got - v * c) < 2.0**-30 * (1 + abs(v)), (backend, v, c)
 
 def test_transcript_byte_totals_match_records():
     eng = Mpc3Engine(seed=22, record_messages=True)
