@@ -3,8 +3,8 @@
 Noise is generated jointly from the shared randomness streams, so no
 party ever sees a noise value or an unperturbed aggregate: the weighted
 selection protocol consumes shared uniforms for its threshold, and the
-measurement step adds shared noise to shared counts before revealing
-the perturbed vector to party 1 alone.
+measurement step adds shared noise (``draw_noise``) to shared counts
+before revealing the perturbed vector to party 1 alone.
 
 All samplers draw from the engine's noise-purpose streams, which the
 plaintext backend consumes identically; with a fixed seed both backends
@@ -29,6 +29,16 @@ NOISE_KINDS = (
     "laplace-sign",
     "laplace-inverse-cdf",
 )
+
+# largest |unit sample| each sampler can return: Box-Muller and both
+# Laplace constructions clamp their log input at 2^-32, Irwin-Hall sums
+# twelve uniforms minus 6
+NOISE_TAIL = {
+    "gaussian-irwin-hall": 6.0,
+    "gaussian-box-muller": math.sqrt(64.0 * math.log(2.0)),
+    "laplace-sign": 32.0 * math.log(2.0),
+    "laplace-inverse-cdf": 32.0 * math.log(2.0),
+}
 
 
 @dataclass(frozen=True)
@@ -168,18 +178,33 @@ def sample_noise(eng, kind: str, length: int):
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
-def pi_measure(eng, shared_counts, query: Query, noise: NoiseSpec,
-               round_index: int) -> NoisyMeasurement:
+def draw_noise(eng, noise: NoiseSpec, length: int):
+    """Shared noise of ``noise``'s kind and scale: ``length`` unit samples
+    scaled by the public scale, in one place for every noise kind.
+
+    Nothing here depends on data, so a run draws all of its rounds' noise
+    in one call ahead of the rounds (``run_pipeline``). Recorded under the
+    ``pi_measure`` scope that consumes it.
+    """
+    with eng.scope("pi_measure"):
+        return eng.scale_pub(sample_noise(eng, noise.kind, length),
+                             noise.scale)
+
+
+def pi_measure(eng, shared_counts, noise_share, query: Query,
+               noise: NoiseSpec, round_index: int) -> NoisyMeasurement:
     """Perturb a shared count vector and reveal it to party 1 only.
 
     Counts are integer shares; the fixed-point lift is a local
-    power-of-two multiply. Unit noise is drawn inside the arithmetic and
-    scaled by the public scale here, one place for every noise kind.
+    power-of-two multiply. ``noise_share`` is already scaled shared noise
+    of the counts' length (from ``draw_noise``); it is added and the sum
+    opened, one opening and no other interaction.
     """
     length = shared_counts.shape[0]
+    if noise_share.shape != (length,):
+        raise ValueError(f"noise share of shape {noise_share.shape} for "
+                         f"{length} counts")
     with eng.scope("pi_measure"):
         mu = eng.mul_const_int(shared_counts, FX_ONE)
-        gamma = sample_noise(eng, noise.kind, length)
-        noisy = eng.add(mu, eng.scale_pub(gamma, noise.scale))
-        revealed = eng.open(noisy, to=0)
+        revealed = eng.open(eng.add(mu, noise_share), to=0)
     return NoisyMeasurement(query, decode(revealed), noise, round_index)

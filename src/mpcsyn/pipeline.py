@@ -3,10 +3,14 @@
 Each round scores every workload query by the L1 gap between its shared
 true marginal and the public marginal of the current model, picks one
 query with the exponential mechanism (shared weighted selection), then
-measures it with calibrated noise. Only the noisy measurement crosses
-into the generate step: the model update and the final sampling operate
-exclusively on NoisyMeasurement values and the public model state, so
-the synthesis side never touches shares or raw rows.
+measures it with calibrated noise. The noise depends only on public
+values (noise kind, scale, rounds, query sizes), so it is drawn offline:
+one batch for all rounds ahead of the first, from which each round
+takes its own slice; unused samples are discarded, never opened. Only
+the noisy measurement crosses into the generate step: the model update
+and the final sampling operate exclusively on NoisyMeasurement values
+and the public model state, so the synthesis side never touches shares
+or raw rows.
 
 Budget bookkeeping is exact rational arithmetic: the per-round select
 and measure shares are Fractions that sum back to the configured total.
@@ -31,9 +35,16 @@ from .marginals import (
     Workload,
     compute_workload_answers,
 )
-from .mechanisms import NoiseSpec, NoisyMeasurement, pi_measure, pi_rc
+from .mechanisms import (
+    NOISE_TAIL,
+    NoiseSpec,
+    NoisyMeasurement,
+    draw_noise,
+    pi_measure,
+    pi_rc,
+)
 from .primitives import sec_cmp, sec_max, sec_softmax_unnorm
-from .rss import make_engine
+from .rss import SCALE_PUB_LIMIT, make_engine
 
 MAX_JOINT_CELLS = 1_000_000
 _SAMPLE_PURPOSE = 4  # engine streams use purposes 0..3; sampling gets its own
@@ -207,17 +218,6 @@ def expected_noise_l1(noise_kind: str, scale: float, cells: int) -> float:
     return per_cell * cells
 
 
-def sec_l1_norm(eng, diff):
-    """Share of sum |diff_i|: sign bits by comparison against zero, then
-    the exact {-1, +1} integer multiply folds the signs in."""
-    if diff.size == 0:
-        return eng.zeros(())
-    with eng.scope("l1"):
-        neg = sec_cmp(eng, diff, eng.zeros(diff.shape), "LT")
-        sgn = eng.add_const(eng.mul_const_int(neg, -2), np.asarray(1))
-        return eng.sum_axis(eng.mul(sgn, diff), axis=None)
-
-
 def _selection_weights(eng, shared_counts, model_answers, workload, params):
     """Unnormalized exponential-mechanism weights over the workload.
 
@@ -343,10 +343,17 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
     """Full synthesis run; returns (synthetic Dataset, JSON-ready run log).
 
     Workload answers are computed once up front (local partial counts,
-    then the aggregation protocol); the T select-measure-generate rounds
-    follow, and the model is resampled into n synthetic rows at the end.
-    The cdp backend runs the identical logic on plaintext words with the
-    same seeded randomness streams.
+    then the aggregation protocol). The noise for all T rounds follows in
+    one batch of T * w scaled samples, w the largest flat query size:
+    round r measures with the slice [r*w, r*w + len) and the rest of its
+    w samples are discarded unopened. Then come the T
+    select-measure-generate rounds, and the model is resampled into n
+    synthetic rows at the end. The cdp backend runs the identical logic
+    on plaintext words with the same seeded randomness streams.
+
+    Raises ``ValueError`` before any protocol work when the noise scale
+    times the sampler's tail bound (``NOISE_TAIL``) reaches scale_pub's
+    2^15 range, where the scaled noise would wrap.
     """
     schema = dataset.schema
     n = int(dataset.rows.shape[0])
@@ -356,14 +363,21 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
         raise ValueError(f"unknown selection algorithm {algo!r}")
     if schema.domain_size > MAX_JOINT_CELLS:
         raise ValueError("joint domain too large for the explicit model")
+    scale = budget.measure_scale(noise_kind)
+    noise = NoiseSpec(noise_kind, scale)
+    if scale * NOISE_TAIL[noise_kind] >= SCALE_PUB_LIMIT:
+        raise ValueError(
+            f"noise scale {scale:.6g} times the {noise_kind} tail bound "
+            f"{NOISE_TAIL[noise_kind]:.4g} reaches 2^15, outside "
+            f"scale_pub's range")
 
     eng = make_engine(backend, seed=seed)
     answers = compute_workload_answers(eng, dataset, plan, workload,
                                        cell_budget=cell_budget)
     shared_counts = [answers[q] for q in workload.queries]
+    width = max(q.size(schema) for q in workload.queries)
+    pool = draw_noise(eng, noise, budget.rounds * width)
 
-    scale = budget.measure_scale(noise_kind)
-    noise = NoiseSpec(noise_kind, scale)
     eps_select = float(budget.epsilon_select)
     bias = tuple(expected_noise_l1(noise_kind, scale, q.size(schema))
                  for q in workload.queries)
@@ -381,7 +395,10 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
             selected = select_mwem(eng, shared_counts, model, workload,
                                    eps_select)
         qi = workload.queries.index(selected)
-        m = pi_measure(eng, shared_counts[qi], selected, noise, r)
+        counts = shared_counts[qi]
+        noise_share = eng.index(
+            pool, slice(r * width, r * width + counts.shape[0]))
+        m = pi_measure(eng, counts, noise_share, selected, noise, r)
         measurements.append(m)
         dist = mw_update(dist, m, n, replay=measurements[:-1])
         rounds_log.append({

@@ -334,16 +334,21 @@ def sec_sin_cos(eng, x):
     Quarter-period reduction: y = x * 2/pi splits into quadrant k and
     offset g in [0, 1); quarter-wave polynomials recombine by the shared
     quadrant one-hot (k = 4 only arises from the clamp boundary and
-    behaves as k = 0).
+    behaves as k = 0). Since k lies in [0, 4], each of its differences
+    with 0..4 has |d| <= 4, so the one-hot's equality tests run at 3
+    bits; the plaintext engine raises ``RangeContractError`` if k ever
+    leaves [0, 4].
     """
     x = _clamp(eng, x, *TRIG_DOMAIN)
     y = eng.scale_pub(x, 2.0 / math.pi)  # in [0, 4]
     k = eng.trunc(y, F)  # integer quadrant share
+    if eng.is_plain and np.any(k.raw > np.uint64(4)):
+        raise RangeContractError("sec_sin_cos: a quadrant lies outside [0, 4]")
     g = eng.sub(y, eng.mul_const_int(k, FX_ONE))
     g30 = eng.trunc(g, 2)
     ks = eng.stack([k] * 5, axis=0)
     consts = as_word(np.arange(5).reshape((5,) + (1,) * len(x.shape)))
-    onehot = sec_eq(eng, ks, np.broadcast_to(consts, (5,) + x.shape))
+    onehot = sec_eq(eng, ks, np.broadcast_to(consts, (5,) + x.shape), nbits=3)
     oh = [eng.index(onehot, j) for j in range(5)]
     sinp = eng.mul_const_int(_horner(eng, g30, _SIN_COEFS, 30), 1 << (F - 30))
     cosp = eng.mul_const_int(_horner(eng, g30, _COS_COEFS, 30), 1 << (F - 30))

@@ -87,6 +87,10 @@ class RangeContractError(ValueError):
     """A value breaks a primitive's documented range contract."""
 
 
+# scale_pub's contract: |value| and |value * c| stay below this
+SCALE_PUB_LIMIT = 2.0**15
+
+
 def check_width(nbits: int) -> None:
     """Reject a mask or equality width outside [1, 64] bits."""
     if not 1 <= nbits <= 64:
@@ -177,10 +181,6 @@ class ShareVec:
     @property
     def size(self) -> int:
         return self.data.size // 6
-
-    def pair_of(self, party: int) -> tuple[np.ndarray, np.ndarray]:
-        """Party ``party``'s private view (its two component arrays)."""
-        return self.pairs[party]
 
 
 @dataclass(frozen=True)
@@ -897,7 +897,8 @@ class PlainEngine(_EngineBase):
         cf = float(c)
         if cf != int(cf):
             mag = np.abs(decode(x.raw))
-            if np.any(mag >= 2.0**15) or np.any(mag * abs(cf) >= 2.0**15):
+            if np.any(mag >= SCALE_PUB_LIMIT) \
+                    or np.any(mag * abs(cf) >= SCALE_PUB_LIMIT):
                 raise RangeContractError(
                     f"scale_pub by {cf}: a value or its product has "
                     f"magnitude >= 2^15")

@@ -7,8 +7,10 @@ from scipy import stats
 from mpcsyn import fixed
 from mpcsyn.marginals import Query
 from mpcsyn.mechanisms import (
+    NOISE_TAIL,
     NoiseSpec,
     NoisyMeasurement,
+    draw_noise,
     gaussian_box_muller,
     gaussian_irwin_hall,
     laplace_noise,
@@ -252,11 +254,27 @@ def test_laplace_unknown_variant():
         sample_noise(eng, "beta", 4)
 
 
+@pytest.mark.parametrize("kind,uniforms,bits", [
+    ("gaussian-irwin-hall", [0] * 12, []),
+    ("gaussian-box-muller", [0, 0], []),  # u at the log clamp, angle 0
+    ("laplace-sign", [0], [0]),
+    ("laplace-inverse-cdf", [0], []),
+])
+def test_noise_tail_bound_is_each_samplers_extreme(kind, uniforms, bits):
+    # the extreme uniforms put each sampler at its tail bound
+    eng = make_engine("cdp", seed=17)
+    eng.inject_uniform(uniforms)
+    eng.inject_bits(bits)
+    got = fixed.decode(eng.open(sample_noise(eng, kind, 1)))
+    assert abs(abs(got[0]) - NOISE_TAIL[kind]) <= 2**-10
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_pi_measure_zero_scale_is_exact(backend):
     eng = make_engine(backend, seed=13)
     counts = share_ints(eng, [4, 0, 11, 2])
-    m = pi_measure(eng, counts, Query((1,)), NoiseSpec("laplace-sign", 0.0), 0)
+    spec = NoiseSpec("laplace-sign", 0.0)
+    m = pi_measure(eng, counts, draw_noise(eng, spec, 4), Query((1,)), spec, 0)
     assert np.array_equal(m.values, [4.0, 0.0, 11.0, 2.0])
     assert m.round_index == 0
 
@@ -268,15 +286,25 @@ def test_pi_measure_injected_noise_arithmetic(backend):
     eng = make_engine(backend, seed=13)
     counts = share_ints(eng, [5, 5])
     eng.inject_uniform([7 / 12, 5 / 12] * 12)
-    m = pi_measure(eng, counts, Query((0,)),
-                   NoiseSpec("gaussian-irwin-hall", 2.0), 4)
+    spec = NoiseSpec("gaussian-irwin-hall", 2.0)
+    m = pi_measure(eng, counts, draw_noise(eng, spec, 2), Query((0,)), spec, 4)
     assert np.allclose(m.values, [7.0, 3.0], atol=1e-6)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_pi_measure_rejects_noise_of_another_length(backend):
+    eng = make_engine(backend, seed=13)
+    counts = share_ints(eng, [4, 0, 11])
+    spec = NoiseSpec("laplace-sign", 1.0)
+    with pytest.raises(ValueError):
+        pi_measure(eng, counts, draw_noise(eng, spec, 4), Query((1,)), spec, 0)
 
 
 def test_pi_measure_reveals_to_single_party():
     eng = make_engine("mpc", seed=19, record_messages=True)
     counts = share_ints(eng, [6, 1, 3])
-    pi_measure(eng, counts, Query((0,)), NoiseSpec("gaussian-irwin-hall", 1.0), 0)
+    spec = NoiseSpec("gaussian-irwin-hall", 1.0)
+    pi_measure(eng, counts, draw_noise(eng, spec, 3), Query((0,)), spec, 0)
     final_round = max(rec[0] for rec in eng.transcript.records)
     opening = [rec for rec in eng.transcript.records if rec[0] == final_round]
     assert len(opening) == 2  # both holders of the missing component
@@ -291,8 +319,9 @@ def test_pi_measure_is_unbiased():
     acc = np.zeros(2)
     for r in range(reps):
         counts = eng.const_vec(true)
-        m = pi_measure(eng, counts, Query((0,)),
-                       NoiseSpec("laplace-inverse-cdf", 3.0), r)
+        spec = NoiseSpec("laplace-inverse-cdf", 3.0)
+        m = pi_measure(eng, counts, draw_noise(eng, spec, 2), Query((0,)),
+                       spec, r)
         acc += m.values
     # noise sd per coordinate is b * sqrt(2); allow four standard errors
     bound = 4 * 3.0 * np.sqrt(2) / np.sqrt(reps)
@@ -315,7 +344,8 @@ def test_pi_measure_backend_equivalence():
     for backend in BACKENDS:
         eng = make_engine(backend, seed=43)
         counts = share_ints(eng, [8, 0, 5, 5, 1])
-        m = pi_measure(eng, counts, Query((2,)),
-                       NoiseSpec("gaussian-box-muller", 1.5), 2)
+        spec = NoiseSpec("gaussian-box-muller", 1.5)
+        m = pi_measure(eng, counts, draw_noise(eng, spec, 5), Query((2,)),
+                       spec, 2)
         vals.append(m.values)
     assert np.array_equal(vals[0], vals[1])

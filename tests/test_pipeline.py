@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mpcsyn import fixed, pipeline
+from mpcsyn import fixed, mechanisms, pipeline
 from mpcsyn.marginals import (
     AttrDomain,
     Dataset,
@@ -19,7 +19,13 @@ from mpcsyn.marginals import (
     horizontal_plan,
     vertical_plan,
 )
-from mpcsyn.mechanisms import NoiseSpec, NoisyMeasurement
+from mpcsyn.mechanisms import (
+    NOISE_TAIL,
+    NoiseSpec,
+    NoisyMeasurement,
+    draw_noise,
+    sample_noise,
+)
 from mpcsyn.pipeline import (
     JointDistribution,
     PrivacyBudget,
@@ -28,7 +34,6 @@ from mpcsyn.pipeline import (
     mw_update,
     run_pipeline,
     sample_synthetic,
-    sec_l1_norm,
     select_aim,
     select_mwem,
 )
@@ -263,26 +268,6 @@ def test_select_score_params_validation():
         SelectScoreParams("AIM", 1.0, (0.0,), 0.0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sec_l1_norm_pinned(backend):
-    eng = make_engine(backend, seed=0)
-    zero = eng.share(fixed.encode(np.zeros(3)))
-    assert fixed.decode(eng.open(sec_l1_norm(eng, zero))) == 0.0
-    v = eng.share(fixed.encode(np.array([-2.0, 3.0])))
-    assert fixed.decode(eng.open(sec_l1_norm(eng, v))) == 5.0
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sec_l1_norm_matches_plaintext(backend):
-    rng = np.random.default_rng(3)
-    eng = make_engine(backend, seed=1)
-    for _ in range(20):
-        m = int(rng.integers(1, 30))
-        vals = rng.uniform(-50, 50, size=m)
-        got = fixed.decode(eng.open(sec_l1_norm(eng, eng.share(fixed.encode(vals)))))
-        assert abs(got - np.sum(np.abs(vals))) <= m * 2.0 ** -31
-
-
 def test_select_aim_prefers_high_error_query():
     # one query far off, zero bias, generous epsilon: picked essentially
     # always (worst competitor weight is the e^-16 exponent clamp)
@@ -510,6 +495,91 @@ def test_run_pipeline_one_mw_update_per_round(monkeypatch):
                  backend="cdp", seed=3)
     # one call per round, replaying every earlier measurement
     assert calls == [0, 1, 2, 3, 4]
+
+
+def test_run_pipeline_draws_noise_once(monkeypatch):
+    calls = []
+
+    def counted(eng, kind, length):
+        calls.append((kind, length))
+        return sample_noise(eng, kind, length)
+
+    monkeypatch.setattr(mechanisms, "sample_noise", counted)
+    ds, wl = _toy_instance(n=60, seed=6)
+    budget = PrivacyBudget(1.0, 1e-9, 4)
+    run_pipeline(ds, horizontal_plan(60, 3, 2), wl, budget, algo="MWEM",
+                 noise_kind="laplace-sign", backend="cdp", seed=3)
+    # one batch for all rounds: T times the largest query size (3 x 3)
+    assert calls == [("laplace-sign", 4 * 9)]
+
+
+@pytest.mark.parametrize("kind", ["gaussian-box-muller", "laplace-sign"])
+def test_run_pipeline_measures_with_pool_slices(kind):
+    # round r reveals its counts plus slice [r*w, r*w + len) of the pool;
+    # on cdp nothing draws noise before the pool, so a fresh engine with
+    # the run's seed redraws it
+    ds, wl = _toy_instance(n=80, seed=7)
+    budget = PrivacyBudget(1.0, 1e-9, 5)
+    _, log = run_pipeline(ds, horizontal_plan(80, 3, 2), wl, budget,
+                          algo="MWEM", noise_kind=kind, backend="cdp",
+                          seed=12)
+    width = max(q.size(ds.schema) for q in wl.queries)
+    eng = make_engine("cdp", seed=12)
+    spec = NoiseSpec(kind, budget.measure_scale(kind))
+    pool = eng.open(draw_noise(eng, spec, budget.rounds * width))
+    for r, entry in enumerate(log["rounds"]):
+        q = Query(tuple(entry["selected_query"]))
+        counts = exact_marginal(ds.rows, q, ds.schema).astype(np.uint64)
+        noise = pool[r * width: r * width + counts.size]
+        want = fixed.decode((counts << np.uint64(fixed.F)) + noise)
+        assert np.array_equal(entry["measurement"]["values"], want), r
+
+
+def test_run_pipeline_runs_box_muller_once():
+    # the protocol's message pattern depends only on shapes, so one
+    # batch sends as many messages as one standalone call of any length,
+    # however many rounds share it
+    ds, wl = _toy_instance(n=40, seed=8)
+    plan = horizontal_plan(40, 3, 2)
+    per_run = []
+    for rounds in (2, 5):
+        _, log = run_pipeline(ds, plan, wl, PrivacyBudget(1.0, 1e-9, rounds),
+                              algo="MWEM", noise_kind="gaussian-box-muller",
+                              backend="mpc", seed=5)
+        per_run.append(log["transcript_summary"]["scopes"]["noise_bm"]
+                       ["messages"])
+    eng = make_engine("mpc", seed=5)
+    sample_noise(eng, "gaussian-box-muller", 3)
+    single = eng.transcript.summary()["scopes"]["noise_bm"]["messages"]
+    assert per_run == [single, single]
+
+
+def _budget_for_noise_bound(kind, bound):
+    """One-round budget whose noise scale times the kind's tail is
+    ``bound`` (the scale is inversely proportional to epsilon)."""
+    unit = PrivacyBudget(1, 1e-9, 1).measure_scale(kind)
+    return PrivacyBudget(Fraction(unit * NOISE_TAIL[kind] / bound), 1e-9, 1)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", ["gaussian-box-muller", "laplace-sign"])
+def test_run_pipeline_noise_range_edge(monkeypatch, backend, kind):
+    ds, wl = _toy_instance(n=40, seed=9)
+    plan = horizontal_plan(40, 3, 2)
+    inside = _budget_for_noise_bound(kind, 0.999 * 2**15)
+    outside = _budget_for_noise_bound(kind, 1.001 * 2**15)
+    assert inside.measure_scale(kind) * NOISE_TAIL[kind] < 2**15
+    _, log = run_pipeline(ds, plan, wl, inside, algo="MWEM", noise_kind=kind,
+                          backend=backend, seed=2)
+    assert len(log["rounds"]) == 1
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("protocol work started")
+
+    monkeypatch.setattr(pipeline, "make_engine", no_engine)
+    with pytest.raises(ValueError, match="2\\^15"):
+        run_pipeline(ds, plan, wl, outside, algo="MWEM", noise_kind=kind,
+                     backend=backend, seed=2)
 
 def test_run_pipeline_backend_equivalence():
     ds, wl = _toy_instance(n=200, seed=2)

@@ -261,6 +261,48 @@ def test_elementary_out_of_domain_clamps(backend):
     assert got[1] == pytest.approx(math.log(2.0), abs=2**-10)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sin_cos_quadrant_width_keeps_words(backend, monkeypatch):
+    # the 3-bit quadrant one-hot reveals the words of the 64-bit one on a
+    # grid through 0, the quadrant edges and the 2pi clamp boundary
+    grid = np.concatenate([np.linspace(0.0, 2 * math.pi, 401),
+                           [-1.0, 2 * math.pi + 1e-9, 7.0],
+                           np.arange(5) * math.pi / 2])
+    words = fixed.encode(grid)
+
+    def run():
+        eng = make_engine(backend, seed=61)
+        return [eng.reconstruct(v)
+                for v in prim.sec_sin_cos(eng, eng.share(words))]
+
+    narrow = run()
+    wide_eq = prim.sec_eq
+    monkeypatch.setattr(prim, "sec_eq",
+                        lambda eng, x, other, nbits=64: wide_eq(eng, x, other))
+    wide = run()
+    for got, want in zip(narrow, wide):
+        assert np.array_equal(got, want)
+
+
+def test_sin_cos_mask_bits_pinned():
+    # per element: 2 clamp comparisons and 21 truncations at 64 mask
+    # bits each, and 5 quadrant equality tests at 3
+    eng = Mpc3Engine(seed=62)
+    prim.sec_sin_cos(eng, eng.share(fixed.encode(np.linspace(0.0, 6.0, 7))))
+    assert eng.transcript.counters["mask_bit"] == 7 * (64 * (2 + 21) + 5 * 3)
+    assert eng.transcript.counters["eq"] == 7 * 5
+
+
+def test_sin_cos_plain_fails_closed_outside_quadrants(monkeypatch):
+    # the clamp keeps k in [0, 4]; widened, it lets k leave on either side
+    monkeypatch.setattr(prim, "TRIG_DOMAIN", (-math.pi, 4 * math.pi))
+    eng = make_engine("cdp", seed=63)
+    for x in (-1.0, 3 * math.pi):
+        with pytest.raises(RangeContractError):
+            prim.sec_sin_cos(eng, eng.share(fixed.encode(np.array([x]))))
+    prim.sec_sin_cos(eng, eng.share(fixed.encode(np.array([0.0, 2.0]))))
+
+
 def test_sec_elem_unknown_name():
     eng = make_engine("cdp", seed=55)
     with pytest.raises(ValueError):
