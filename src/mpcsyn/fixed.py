@@ -85,12 +85,6 @@ def trunc_word(w, g: int = F) -> np.ndarray:
 
 
 @_wrapping
-def mul_wrap(a, b) -> np.ndarray:
-    """Low 64 bits of the product, i.e. multiplication in Z_{2^64}."""
-    return as_word(a) * as_word(b)
-
-
-@_wrapping
 def _mul_128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(high, low) words of the unsigned 128-bit product, via 32-bit limbs."""
     s32 = np.uint64(32)
@@ -125,13 +119,3 @@ def fx_mul_trunc(a, b) -> np.ndarray:
     high = high - sign_a * bw - sign_b * aw
     out = (high << np.uint64(64 - F)) | (low >> np.uint64(F))
     return np.asarray(out, dtype=np.uint64).reshape(shape)
-
-
-@_wrapping
-def add_wrap(a, b) -> np.ndarray:
-    return as_word(a) + as_word(b)
-
-
-@_wrapping
-def neg_wrap(a) -> np.ndarray:
-    return np.uint64(0) - as_word(a)

@@ -48,6 +48,8 @@ from .rss import SCALE_PUB_LIMIT, make_engine
 
 MAX_JOINT_CELLS = 1_000_000
 _SAMPLE_PURPOSE = 4  # engine streams use purposes 0..3; sampling gets its own
+# shortest inner loop, in cells, a model-update multiply is left to run
+_MIN_RUN = 1 << 11
 
 _GAUSSIAN_KINDS = ("gaussian-irwin-hall", "gaussian-box-muller")
 
@@ -218,47 +220,83 @@ def expected_noise_l1(noise_kind: str, scale: float, cells: int) -> float:
     return per_cell * cells
 
 
+def _aim_scales(params: SelectScoreParams, workload: Workload):
+    """AIM's public score scales: (exponent scale, per-query weights).
+
+    Uniform query weights fold into the exponent scale, where they commute
+    with the max-subtract, and the weights come back as ``None``.
+    """
+    scale = 0.5 * params.epsilon_select / params.max_sensitivity
+    weights = [float(w) for w in workload.weights]
+    if len(set(weights)) == 1:
+        return scale * weights[0], None
+    return scale, weights
+
+
+def _check_aim_scale(n: int, params: SelectScoreParams,
+                     workload: Workload) -> None:
+    """Raise ``ValueError`` when public values alone guarantee that AIM's
+    score scaling breaks scale_pub's range (|x| and |x * c| below 2^15).
+
+    Counts and model answers each sum to n, so a query's L1 lies in
+    [0, 2n]; one count of slack covers the model's normalization
+    tolerance and the fixed-point rounding of its answers. With uniform
+    weights, the max-shifted score of the query with the largest bias is
+    then at least max bias - min bias - 2n in magnitude; with non-uniform
+    weights, query q's L1 - b_q is at least b_q - 2n before its
+    weight w_q scales it. Integer scales are exact ring multiplies
+    without that range and are never rejected. A run that passes can
+    still break the range on its data, which the plaintext oracle checks
+    as it runs.
+    """
+    exponent_scale, weights = _aim_scales(params, workload)
+    l1_max = 2 * n + 1
+    if weights is None:
+        floors = [(max(params.bias) - min(params.bias) - l1_max,
+                   exponent_scale)]
+    else:
+        floors = [(b - l1_max, w) for b, w in zip(params.bias, weights)]
+    for floor, c in floors:
+        if c != int(c) and floor * max(1.0, abs(c)) >= SCALE_PUB_LIMIT:
+            raise ValueError(
+                f"AIM scores at least {floor:.6g} in magnitude, scaled by "
+                f"{c:.6g}, reach 2^15, outside scale_pub's range")
+
+
 def _selection_weights(eng, shared_counts, model_answers, workload, params):
     """Unnormalized exponential-mechanism weights over the workload.
 
     Scores every query (AIM: w * (L1 - bias); MWEM: plain L1), subtracts
     the shared maximum so the softmax argument is nonpositive, applies
-    the public exponent scale, and exponentiates. The per-query sign
-    extractions run as one batched comparison over the concatenated
-    difference vectors; uniform query weights fold into the exponent
-    scale instead of costing a truncation each.
+    the public exponent scale, and exponentiates. The L1 scores take one
+    pass over the concatenated workload: one integer multiply lifts the
+    counts to fixed point, one public vector subtracts the model answers,
+    one batched comparison extracts the signs, and one segment sum adds
+    up each query's cells. Ring sums are exact mod 2^64, so the scores
+    are the words that per-query sums give. Uniform query weights fold
+    into the exponent scale instead of costing a truncation each.
     """
-    diffs = [
-        eng.sub_const(
-            eng.mul_const_int(shared_counts[i], FX_ONE),
-            encode(np.asarray(model_answers[i], dtype=np.float64)),
-        )
-        for i in range(len(workload.queries))
-    ]
-    flat = eng.concat(diffs, axis=0)
+    starts = np.cumsum([0] + [c.shape[0] for c in shared_counts[:-1]])
+    answers = np.concatenate([np.asarray(a, dtype=np.float64)
+                              for a in model_answers])
+    flat = eng.sub_const(
+        eng.mul_const_int(eng.concat(shared_counts, axis=0), FX_ONE),
+        encode(answers))
     neg = sec_cmp(eng, flat, eng.zeros(flat.shape), "LT")
     sgn = eng.add_const(eng.mul_const_int(neg, -2), np.asarray(1))
-    absflat = eng.mul(sgn, flat)
-    bounds = np.cumsum([0] + [d.size for d in diffs])
-    scores = eng.stack(
-        [eng.sum_axis(eng.index(absflat, slice(bounds[i], bounds[i + 1])))
-         for i in range(len(diffs))],
-        axis=0,
-    )
-    exponent_scale = 0.5 * params.epsilon_select
+    scores = eng.sum_segments(eng.mul(sgn, flat), starts)
     if params.algo == "AIM":
-        exponent_scale /= params.max_sensitivity
+        exponent_scale, weights = _aim_scales(params, workload)
         scores = eng.sub_const(scores, encode(np.asarray(params.bias,
                                                          dtype=np.float64)))
-        weights = [float(w) for w in workload.weights]
-        if len(set(weights)) == 1:
-            exponent_scale *= weights[0]  # commutes with the max-subtract
-        else:
+        if weights is not None:
             scores = eng.concat(
                 [eng.scale_pub(eng.index(scores, slice(i, i + 1)), weights[i])
                  for i in range(len(weights))],
                 axis=0,
             )
+    else:
+        exponent_scale = 0.5 * params.epsilon_select
     top = eng.broadcast_to(sec_max(eng, scores), scores.shape)
     shifted = eng.sub(scores, top)
     return sec_softmax_unnorm(eng, eng.scale_pub(shifted, exponent_scale))
@@ -287,6 +325,29 @@ def select_mwem(eng, shared_counts, model_answers, workload: Workload,
     return workload.queries[idx - 1]
 
 
+def _step_layout(step: np.ndarray, attrs: tuple, shape: tuple) -> np.ndarray:
+    """A step over the query ``attrs``, laid out against a table of ``shape``.
+
+    Broadcast along the dropped axes, a table multiply runs its inner loop
+    over the cells after the query's last attribute. When that run is
+    shorter than ``_MIN_RUN`` cells, the step is materialized over the
+    fewest trailing axes that hold ``_MIN_RUN`` cells, so table and step
+    share one long contiguous inner loop; otherwise it stays a broadcast,
+    as it does on a table shorter than one run, where no loop is long.
+    Either way every cell meets the same step value. The rule reads only
+    the public shape.
+    """
+    step = np.expand_dims(step, tuple(a for a in range(len(shape))
+                                      if a not in attrs))
+    lead = len(shape)
+    while lead > 0 and math.prod(shape[lead:]) < _MIN_RUN:
+        lead -= 1
+    if not attrs or attrs[-1] < lead or math.prod(shape) < _MIN_RUN:
+        return step
+    return np.ascontiguousarray(
+        np.broadcast_to(step, step.shape[:lead] + shape[lead:]))
+
+
 def mw_update(dist: JointDistribution, m: NoisyMeasurement, n: int, *,
               replay: Sequence[NoisyMeasurement] = ()) -> JointDistribution:
     """Multiplicative-weights steps toward noisy marginals: each of
@@ -300,10 +361,12 @@ def mw_update(dist: JointDistribution, m: NoisyMeasurement, n: int, *,
     reduction order on the working table. Since the step is constant
     along the dropped axes, the normalizer sum_cells table * step equals
     sum_(query cells) marginal * step, so the step is divided by that
-    small sum before the one full-table multiply. A NaN or +inf in any
-    measurement turns the result into NaN and fails the validation.
-    Post-processing only: consumes NoisyMeasurements and the public
-    model, never shares or raw rows.
+    small sum before the one full-table multiply. That multiply runs as
+    one pass with a long contiguous inner loop (``_step_layout``); it
+    forms the same products as a plain broadcast, so every float is
+    identical. A NaN or +inf in any measurement turns the result into
+    NaN and fails the validation. Post-processing only: consumes
+    NoisyMeasurements and the public model, never shares or raw rows.
     """
     shape = dist.schema.cardinalities
     table = None
@@ -314,8 +377,7 @@ def mw_update(dist: JointDistribution, m: NoisyMeasurement, n: int, *,
         target = np.asarray(meas.values, dtype=np.float64).reshape(marg.shape)
         step = np.exp((target - n * marg) / (2.0 * n))
         step /= (marg * step).sum()
-        step = np.expand_dims(step, tuple(a for a in range(len(shape))
-                                          if a not in attrs))
+        step = _step_layout(step, attrs, shape)
         if table is None:
             table = dist.probs.reshape(shape) * step
         else:
@@ -353,7 +415,9 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
 
     Raises ``ValueError`` before any protocol work when the noise scale
     times the sampler's tail bound (``NOISE_TAIL``) reaches scale_pub's
-    2^15 range, where the scaled noise would wrap.
+    2^15 range, where the scaled noise would wrap, and when AIM's public
+    biases and scales alone guarantee that its score scaling leaves that
+    range (``_check_aim_scale``).
     """
     schema = dataset.schema
     n = int(dataset.rows.shape[0])
@@ -371,18 +435,20 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
             f"{NOISE_TAIL[noise_kind]:.4g} reaches 2^15, outside "
             f"scale_pub's range")
 
+    eps_select = float(budget.epsilon_select)
+    bias = tuple(expected_noise_l1(noise_kind, scale, q.size(schema))
+                 for q in workload.queries)
+    params = SelectScoreParams("AIM", eps_select, bias,
+                               max(workload.weights)) if algo == "AIM" else None
+    if algo == "AIM":
+        _check_aim_scale(n, params, workload)
+
     eng = make_engine(backend, seed=seed)
     answers = compute_workload_answers(eng, dataset, plan, workload,
                                        cell_budget=cell_budget)
     shared_counts = [answers[q] for q in workload.queries]
     width = max(q.size(schema) for q in workload.queries)
     pool = draw_noise(eng, noise, budget.rounds * width)
-
-    eps_select = float(budget.epsilon_select)
-    bias = tuple(expected_noise_l1(noise_kind, scale, q.size(schema))
-                 for q in workload.queries)
-    params = SelectScoreParams("AIM", eps_select, bias,
-                               max(workload.weights)) if algo == "AIM" else None
 
     dist = JointDistribution.uniform(schema)
     measurements: list[NoisyMeasurement] = []

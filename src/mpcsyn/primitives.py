@@ -196,13 +196,6 @@ def sec_max(eng, xs):
     return eng.index(cur, 0)
 
 
-def sec_sum(eng, xs):
-    """Share of the sum over axis 0; purely local."""
-    if xs.shape[0] == 0:
-        return eng.zeros(xs.shape[1:])
-    return eng.sum_axis(xs, axis=0)
-
-
 def _clamp(eng, x, lo: float, hi: float):
     """Replace out-of-domain values by the nearest endpoint (two comparisons)."""
     lo_c = _const_like(eng, x, lo)
@@ -357,32 +350,6 @@ def sec_sin_cos(eng, x):
     sin = eng.add(eng._mul_raw(sinp, s_sel), eng._mul_raw(cosp, c_cross))
     cos = eng.sub(eng._mul_raw(cosp, s_sel), eng._mul_raw(sinp, c_cross))
     return sin, cos
-
-
-def sec_sin(eng, x):
-    return sec_sin_cos(eng, x)[0]
-
-
-def sec_cos(eng, x):
-    return sec_sin_cos(eng, x)[1]
-
-
-_ELEM = {
-    "EXP": sec_exp,
-    "LN": sec_ln,
-    "SQRT": sec_sqrt,
-    "SIN": sec_sin,
-    "COS": sec_cos,
-}
-
-
-def sec_elem(eng, fn: str, x):
-    """Elementary function dispatch; see the individual domain contracts."""
-    try:
-        impl = _ELEM[fn.upper()]
-    except KeyError:
-        raise ValueError(f"unknown elementary function {fn!r}") from None
-    return impl(eng, x)
 
 
 def sec_softmax_unnorm(eng, errs):

@@ -202,8 +202,8 @@ class _EngineBase:
     """Operation surface shared by the MPC engine and the plaintext engine.
 
     Subclasses provide the representation-specific pieces; everything
-    expressed in terms of those (public scaling, uniform draws, linear
-    combinations) lives here once so both backends cannot drift apart.
+    expressed in terms of those (public scaling, uniform draws, layout
+    helpers) lives here once so both backends cannot drift apart.
     """
 
     is_plain: bool
@@ -324,25 +324,6 @@ class _EngineBase:
     def sub_const(self, x, raws):
         return self.add_const(x, np.uint64(0) - as_word(raws))
 
-    def linear(self, coeffs, inputs, const: float = 0.0):
-        """Share of sum(c_i * x_i) + const, computed locally (0 messages).
-
-        Coefficients must be integer-valued: exact public scaling by a
-        non-integer requires an interactive truncation, which scale_pub
-        provides separately.
-        """
-        if len(coeffs) != len(inputs):
-            raise ValueError("coeffs and inputs length mismatch")
-        acc = None
-        for c, x in zip(coeffs, inputs):
-            cf = float(c)
-            if cf != int(cf):
-                raise ValueError("linear() coefficients must be integer-valued")
-            term = self.mul_const_int(x, int(cf))
-            acc = term if acc is None else self.add(acc, term)
-        base = self.const_vec(np.broadcast_to(encode(float(const)), acc.shape if acc is not None else ()))
-        return base if acc is None else self.add(acc, base)
-
     def scale_pub(self, x, c: float):
         """Multiply by a public real constant, exact to < 2^-31.
 
@@ -408,6 +389,14 @@ class _EngineBase:
         else:
             axis = self._axis(axis)
         return self._layout(lambda a: np.sum(a, axis=axis, dtype=U64), x)
+
+    def sum_segments(self, x, starts):
+        """Sums along axis 0 over the runs starting at the strictly
+        increasing ``starts``, each to the next start (the last to the
+        end): one pass, the same words as one ``sum_axis`` per run."""
+        axis = self._axis(0)
+        return self._layout(
+            lambda a: np.add.reduceat(a, starts, axis=axis, dtype=U64), x)
 
     def cumsum_axis(self, x, axis):
         axis = self._axis(axis)

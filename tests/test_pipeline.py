@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from scipy import stats
 
 from mpcsyn import fixed, mechanisms, pipeline
+from mpcsyn import primitives as prim
 from mpcsyn.marginals import (
     AttrDomain,
     Dataset,
@@ -261,6 +263,43 @@ def test_mw_update_replay_leaves_input_model_unchanged():
     for k, v in memo.items():
         assert np.array_equal(dist._memo[k], v), k
 
+
+def _broadcast_mw(dist, ms, n):
+    """Probabilities after ``ms`` as plain broadcast multiplicative-weights
+    steps: the reference layout for ``mw_update``."""
+    shape = dist.schema.cardinalities
+    table = dist.probs.reshape(shape)
+    for meas in ms:
+        attrs = meas.query.attrs
+        marg = pipeline._partial_sum(table, attrs, {})
+        target = np.asarray(meas.values, dtype=np.float64).reshape(marg.shape)
+        step = np.exp((target - n * marg) / (2.0 * n))
+        step /= (marg * step).sum()
+        table = table * np.expand_dims(
+            step, tuple(a for a in range(len(shape)) if a not in attrs))
+    return table.ravel()
+
+
+@pytest.mark.parametrize("min_run", [None, 1, 20, 100, 600, 7200])
+def test_mw_update_step_layout_matches_broadcast(monkeypatch, min_run):
+    # suffix sizes 1, 6, 30, 150, 600, 2400, 7200: the run lengths put the
+    # materialized block at every depth, from none (1) to the whole table
+    # (7,200); the default (2,048) starts it at axis 1
+    if min_run is not None:
+        monkeypatch.setattr(pipeline, "_MIN_RUN", min_run)
+    cards = (3, 4, 4, 5, 5, 6)
+    schema = small_schema(cards)
+    n = 700
+    dist = JointDistribution(_random_joint(cards, 21), schema)
+    picks = [(0,), (2,), (5,), (0, 5), (2, 3), (), (0, 2, 4), (5,), (0,)]
+    ms = _noisy_measurements(dist, n, picks, 22)
+    for k in range(len(ms)):
+        single = mw_update(dist, ms[k], n).probs
+        assert np.array_equal(single, _broadcast_mw(dist, ms[k:k + 1], n)), k
+        replayed = mw_update(dist, ms[k], n, replay=ms[:k]).probs
+        assert np.array_equal(replayed, _broadcast_mw(dist, ms[:k + 1], n)), k
+
+
 def test_select_score_params_validation():
     with pytest.raises(ValueError):
         SelectScoreParams("PGM", 1.0)
@@ -365,6 +404,77 @@ def test_select_backends_agree(algo):
             else:
                 picks.append(select_mwem(eng, shared, model, wl, 1.0))
         assert picks[0] == picks[1]
+
+
+def _per_query_selection_weights(eng, shared_counts, model_answers, workload,
+                                 params):
+    """Selection weights with one lift, one subtraction, one index and one
+    sum per query: the reference for the one-pass
+    ``pipeline._selection_weights``."""
+    diffs = [
+        eng.sub_const(eng.mul_const_int(c, fixed.FX_ONE),
+                      fixed.encode(np.asarray(a, dtype=np.float64)))
+        for c, a in zip(shared_counts, model_answers)
+    ]
+    flat = eng.concat(diffs, axis=0)
+    neg = prim.sec_cmp(eng, flat, eng.zeros(flat.shape), "LT")
+    sgn = eng.add_const(eng.mul_const_int(neg, -2), np.asarray(1))
+    absflat = eng.mul(sgn, flat)
+    bounds = np.cumsum([0] + [d.size for d in diffs])
+    scores = eng.stack(
+        [eng.sum_axis(eng.index(absflat, slice(bounds[i], bounds[i + 1])))
+         for i in range(len(diffs))],
+        axis=0,
+    )
+    exponent_scale = 0.5 * params.epsilon_select
+    if params.algo == "AIM":
+        exponent_scale /= params.max_sensitivity
+        scores = eng.sub_const(scores, fixed.encode(
+            np.asarray(params.bias, dtype=np.float64)))
+        weights = [float(w) for w in workload.weights]
+        if len(set(weights)) == 1:
+            exponent_scale *= weights[0]
+        else:
+            scores = eng.concat(
+                [eng.scale_pub(eng.index(scores, slice(i, i + 1)), weights[i])
+                 for i in range(len(weights))],
+                axis=0,
+            )
+    top = eng.broadcast_to(prim.sec_max(eng, scores), scores.shape)
+    shifted = eng.sub(scores, top)
+    return prim.sec_softmax_unnorm(eng, eng.scale_pub(shifted, exponent_scale))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("algo,weights", [
+    ("MWEM", ()),
+    ("AIM", ()),
+    ("AIM", (1.0, 0.5, 2.0, 1.5, 0.75, 1.0, 3.0)),
+])
+def test_selection_weights_one_pass_matches_per_query(backend, algo, weights):
+    # 1-cell queries first, mid-workload and last, between 3- to 20-cell ones
+    schema = small_schema([3, 2, 4, 2, 5])
+    wl = Workload(tuple(Query(a) for a in
+                        [(), (0,), (0, 2), (), (1, 3), (2, 4), ()]), weights)
+    sizes = [q.size(schema) for q in wl.queries]
+    rng = np.random.default_rng(31)
+    for inst in range(4):
+        counts = [rng.integers(0, 40, size=k) for k in sizes]
+        model = [rng.uniform(0, 40, size=k) for k in sizes]
+        bias = tuple(rng.uniform(0, 30, size=len(sizes)))
+        params = SelectScoreParams("AIM", 0.05, bias, max(wl.weights)) \
+            if algo == "AIM" else SelectScoreParams("MWEM", 0.05)
+        runs = []
+        for fn in (pipeline._selection_weights, _per_query_selection_weights):
+            eng = make_engine(backend, seed=40 + inst, record_messages=True)
+            out = fn(eng, share_counts(eng, counts), model, wl, params)
+            runs.append((eng, eng.reconstruct(out)))
+        (one, got), (ref, want) = runs
+        assert np.array_equal(got, want), inst
+        assert len(np.unique(want)) > 1, inst  # the scores are not all tied
+        assert one.transcript.counters == ref.transcript.counters, inst
+        if backend == "mpc":
+            assert one.transcript.records == ref.transcript.records, inst
 
 
 def test_aim_bias_centers_noise_scores():
@@ -580,6 +690,63 @@ def test_run_pipeline_noise_range_edge(monkeypatch, backend, kind):
     with pytest.raises(ValueError, match="2\\^15"):
         run_pipeline(ds, plan, wl, outside, algo="MWEM", noise_kind=kind,
                      backend=backend, seed=2)
+
+class _EngineCreated(Exception):
+    """Raised in place of an engine: the up-front checks passed."""
+
+
+def _engine_created(*args, **kwargs):
+    raise _EngineCreated
+
+
+def _aim_edge_instance():
+    # 200 rows over (5, 5, 2), queries (2,) and (0, 1): biases of 2 and 25
+    # cells at the noise scale, against the L1 bound 2n = 400
+    cards = (5, 5, 2)
+    rng = np.random.default_rng(5)
+    ds = Dataset(rng.integers(0, list(cards), size=(200, 3)),
+                 small_schema(cards))
+    return ds, horizontal_plan(200, 3, 2), (Query((2,)), Query((0, 1)))
+
+
+def _aim_run(ds, plan, wl, epsilon, backend):
+    return run_pipeline(ds, plan, wl, PrivacyBudget(epsilon, 1e-9, 1),
+                        algo="AIM", noise_kind="gaussian-irwin-hall",
+                        backend=backend, seed=3)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_run_pipeline_aim_scale_fails_closed(monkeypatch, backend):
+    # sigma = 2,589: the noise passes its own check (6 sigma < 2^15), but
+    # the 25-cell query's bias exceeds the 2-cell one's by 47.5k, so its
+    # shifted score is below -2^15 whatever the data
+    ds, plan, queries = _aim_edge_instance()
+    monkeypatch.setattr(pipeline, "make_engine", _engine_created)
+    with pytest.raises(ValueError, match="2\\^15"):
+        _aim_run(ds, plan, Workload(queries), Fraction(1, 200), backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("weights", [(), (0.5, 1.5)])
+def test_run_pipeline_aim_scale_edge(monkeypatch, backend, weights):
+    ds, plan, queries = _aim_edge_instance()
+    wl = Workload(queries, weights)
+    unit = PrivacyBudget(1, 1e-9, 1).measure_scale("gaussian-irwin-hall")
+    per_sigma = math.sqrt(2.0 / math.pi)
+    monkeypatch.setattr(pipeline, "make_engine", _engine_created)
+    for side in (0.999, 1.001):
+        if weights:  # the 25-cell query alone: (b - 2n) * 1.5 at the edge
+            sigma = (side * 2**15 / 1.5 + 400) / (25 * per_sigma)
+        else:  # uniform: (max bias - min bias - 2n) at the edge
+            sigma = (side * 2**15 + 400) / (23 * per_sigma)
+        assert 6 * sigma < 2**15  # inside the noise range either way
+        if side < 1:
+            with pytest.raises(_EngineCreated):
+                _aim_run(ds, plan, wl, Fraction(unit / sigma), backend)
+        else:
+            with pytest.raises(ValueError, match="AIM scores"):
+                _aim_run(ds, plan, wl, Fraction(unit / sigma), backend)
+
 
 def test_run_pipeline_backend_equivalence():
     ds, wl = _toy_instance(n=200, seed=2)

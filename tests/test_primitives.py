@@ -201,22 +201,6 @@ def test_max_subtract_normalizes_to_zero(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_sec_sum(backend):
-    eng = make_engine(backend, seed=51)
-    assert int(eng.reconstruct(prim.sec_sum(eng, eng.share(np.zeros(0, dtype=np.uint64))))) == 0
-    got = fixed.decode(eng.reconstruct(prim.sec_sum(eng, eng.share(fixed.encode(np.array([1.0, 2.0, 3.0]))))))
-    assert got == 6.0
-    before = eng.transcript.msg_count if backend == "mpc" else 0
-    rng = np.random.default_rng(51)
-    vals = fixed.decode(fixed.encode(rng.uniform(-10, 10, size=200)))
-    got = fixed.decode(eng.reconstruct(prim.sec_sum(eng, eng.share(fixed.encode(vals)))))
-    # local: sharing costs messages, summation none
-    if backend == "mpc":
-        assert eng.transcript.msg_count - before == 2
-    assert abs(got - vals.sum()) < 1e-6
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_elementary_pinned_values(backend):
     eng = make_engine(backend, seed=52)
     assert fixed.decode(eng.reconstruct(prim.sec_exp(eng, eng.share(fixed.encode(0.0))))) == pytest.approx(1.0, abs=2**-10)
@@ -240,7 +224,14 @@ def test_elementary_domain_sweeps(backend, fn, lo, hi, ref):
     eng = make_engine(backend, seed=53)
     dom = np.linspace(lo, hi, 1000)
     snapped = fixed.decode(fixed.encode(dom))
-    got = fixed.decode(eng.reconstruct(prim.sec_elem(eng, fn, eng.share(fixed.encode(dom)))))
+    impl = {
+        "EXP": prim.sec_exp,
+        "LN": prim.sec_ln,
+        "SQRT": prim.sec_sqrt,
+        "SIN": lambda eng, x: prim.sec_sin_cos(eng, x)[0],
+        "COS": lambda eng, x: prim.sec_sin_cos(eng, x)[1],
+    }[fn]
+    got = fixed.decode(eng.reconstruct(impl(eng, eng.share(fixed.encode(dom)))))
     assert np.abs(got - ref(snapped)).max() <= 2**-10
 
 
@@ -301,12 +292,6 @@ def test_sin_cos_plain_fails_closed_outside_quadrants(monkeypatch):
         with pytest.raises(RangeContractError):
             prim.sec_sin_cos(eng, eng.share(fixed.encode(np.array([x]))))
     prim.sec_sin_cos(eng, eng.share(fixed.encode(np.array([0.0, 2.0]))))
-
-
-def test_sec_elem_unknown_name():
-    eng = make_engine("cdp", seed=55)
-    with pytest.raises(ValueError):
-        prim.sec_elem(eng, "TANH", eng.share(np.uint64(0)))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

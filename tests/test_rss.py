@@ -70,33 +70,14 @@ def test_linearity_of_reconstruction():
     assert np.array_equal(eng.reconstruct(s), a + b)
 
 
-def test_linear_zero_messages_and_oracle():
-    eng = Mpc3Engine(seed=7)
-    rng = np.random.default_rng(7)
-    xs = [eng.share(fixed.encode(rng.uniform(-50, 50, size=30))) for _ in range(4)]
-    plain = [fixed.decode(eng.reconstruct(x)) for x in xs]
-    before = eng.transcript.msg_count
-    out = eng.linear([2, -1, 5, 3], xs, const=0.75)
-    assert eng.transcript.msg_count == before
-    want = 2 * plain[0] - plain[1] + 5 * plain[2] + 3 * plain[3] + 0.75
-    assert np.max(np.abs(fixed.decode(eng.reconstruct(out)) - want)) < 2.0**-29
-
-
-def test_linear_empty_is_public_constant_convention():
+def test_const_vec_is_public_constant_convention():
     eng = Mpc3Engine(seed=8)
-    out = eng.linear([], [], const=4.25)
+    out = eng.const_vec(fixed.encode(4.25))
     # party 1 carries the constant, the others hold zero
     assert int(out.pairs[0][0]) == int(fixed.encode(4.25))
     assert int(out.pairs[1][0]) == 0
     assert int(out.pairs[2][0]) == 0
     assert fixed.decode(eng.reconstruct(out)) == 4.25
-
-
-def test_linear_rejects_fractional_coefficients():
-    eng = Mpc3Engine(seed=9)
-    x = eng.share(fixed.encode(np.array([1.0])))
-    with pytest.raises(ValueError):
-        eng.linear([0.5], [x])
 
 
 def test_mul_exact_and_three_messages():
