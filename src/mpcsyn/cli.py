@@ -92,10 +92,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    schema, _ = dataio.load_domain(args.domain)
     real = dataio.load_dataset(args.real, args.domain)
     synth = dataio.load_dataset(args.synth, args.domain)
-    wl = _resolve_workload(args.workload, schema)
+    wl = _resolve_workload(args.workload, real.schema)
     report = dataio.workload_error(real, synth, wl)
     text = json.dumps(report.to_json(), indent=2) + "\n"
     if args.out:

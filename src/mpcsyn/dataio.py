@@ -223,7 +223,7 @@ def build_workload(schema: Schema, kind: str = "all-2way") -> Workload:
 
 def load_workload(path, schema: Schema) -> Workload:
     """Workload JSON: {"queries": [[attr...], ...], "weights": [...]}
-    or a bare list of queries; attrs by index or by name."""
+    or a bare list of queries; attrs by name or by index in [0, d)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
@@ -237,7 +237,11 @@ def load_workload(path, schema: Schema) -> Workload:
             if a not in by_name:
                 raise IngestionError(f"unknown attribute {a!r} in workload")
             return by_name[a]
-        return int(a)
+        j = int(a)
+        if not 0 <= j < schema.dims:
+            raise IngestionError(
+                f"attribute index {j} in workload is outside [0, {schema.dims})")
+        return j
 
     queries = tuple(Query(tuple(sorted(resolve(a) for a in q)))
                     for q in doc.get("queries", []))

@@ -2,8 +2,12 @@
 
 Reals are encoded as two's-complement words with F = 32 fractional bits:
 a word w represents signed(w) / 2^F. All arithmetic wraps modulo 2^64;
-nothing here ever traps on overflow. Values are numpy uint64 arrays (or
-scalars, which are promoted to 0-d arrays).
+nothing here ever traps on overflow. Values are numpy uint64 arrays or
+numpy uint64 scalars: an operation on 0-d arrays returns a scalar. Ring
+operations are therefore ufunc calls (``np.add``, ``np.subtract``,
+``np.multiply``) or operators on arrays of at least one dimension, which
+wrap silently on arrays and scalars alike; the ``+``, ``-`` and ``*``
+operators on two numpy scalars would warn on overflow instead.
 
 The representable range is |r| < 2^(63-F) = 2^31 with granularity 2^-F.
 ``fx_mul_trunc`` is the reference product semantics: the full-width
@@ -17,20 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def _wrapping(fn):
-    """Arithmetic here wraps mod 2^64 by design; numpy's scalar-overflow
-    warning (which fires on 0-d operands) is noise."""
-    import functools
-
-    @functools.wraps(fn)
-    def inner(*args, **kwargs):
-        with np.errstate(over="ignore"):
-            return fn(*args, **kwargs)
-
-    return inner
-
 F = 32
-Q_BITS = 64
 MASK32 = np.uint64(0xFFFFFFFF)
 HALF = 1 << 63  # sign threshold / truncation bias
 FX_ONE = np.uint64(1) << np.uint64(F)
@@ -84,7 +75,6 @@ def trunc_word(w, g: int = F) -> np.ndarray:
     return shifted.reshape(a.shape)
 
 
-@_wrapping
 def _mul_128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(high, low) words of the unsigned 128-bit product, via 32-bit limbs."""
     s32 = np.uint64(32)
@@ -99,7 +89,6 @@ def _mul_128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, low
 
 
-@_wrapping
 def fx_mul_trunc(a, b) -> np.ndarray:
     """Fixed-point multiply: full-width signed product >> F, mod 2^64.
 
@@ -109,9 +98,9 @@ def fx_mul_trunc(a, b) -> np.ndarray:
     """
     aw0, bw0 = as_word(a), as_word(b)
     shape = np.broadcast_shapes(aw0.shape, bw0.shape)
-    aw, bw = np.broadcast_arrays(aw0, bw0)
-    aw = np.ascontiguousarray(aw)
-    bw = np.ascontiguousarray(bw)
+    # flat 1-d operands: every operator below is an array op, never the
+    # numpy-scalar arithmetic a 0-d operand would decay into
+    aw, bw = (np.ravel(w) for w in np.broadcast_arrays(aw0, bw0))
     high, low = _mul_128(aw, bw)
     # adjust the high word for two's-complement signs: A*B = a*b - 2^64*(s_a*b + s_b*a) (mod 2^128)
     sign_a = aw >> np.uint64(63)

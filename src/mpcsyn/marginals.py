@@ -42,7 +42,7 @@ class CoverageError(ValueError):
 
 
 class CellBudgetError(ValueError):
-    """A marginal's flattened domain exceeds the configured cell budget."""
+    """A marginal's flattened domain exceeds ``DEFAULT_CELL_BUDGET`` cells."""
 
 
 class OrchestrationError(RuntimeError):
@@ -162,12 +162,6 @@ class Workload:
 
     def __len__(self) -> int:
         return len(self.queries)
-
-
-@dataclass(frozen=True)
-class MarginalTable:
-    query: Query
-    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -318,8 +312,7 @@ def pi_join(eng, plan: PartitionPlan, shared_cells: list, n: int, d: int):
     return eng.assemble((n, d), placements)
 
 
-def p_way_marginal(eng, shared_data, query: Query, schema: Schema,
-                   cell_budget: int = DEFAULT_CELL_BUDGET):
+def p_way_marginal(eng, shared_data, query: Query, schema: Schema):
     """Shared counts of a k-way marginal from the joined shared table.
 
     Per cell, the count is the sum over rows of the product of one
@@ -336,9 +329,9 @@ def p_way_marginal(eng, shared_data, query: Query, schema: Schema,
     """
     sizes = [schema.attrs[a].cardinality for a in query.attrs]
     total = prod(sizes)
-    if total > cell_budget:
+    if total > DEFAULT_CELL_BUDGET:
         raise CellBudgetError(
-            f"marginal has {total} cells, over the budget of {cell_budget}"
+            f"marginal has {total} cells, over the budget of {DEFAULT_CELL_BUDGET}"
         )
     n = shared_data.shape[0]
     cols = [eng.index(shared_data, (slice(None), a)) for a in query.attrs]
@@ -362,8 +355,7 @@ def p_way_marginal(eng, shared_data, query: Query, schema: Schema,
 
 
 def pi_comp(eng, partials_per_holder: list[dict], workload: Workload,
-            qstar: list[Query], shared_data=None, schema: Schema | None = None,
-            cell_budget: int = DEFAULT_CELL_BUDGET):
+            qstar: list[Query], shared_data=None, schema: Schema | None = None):
     """Aggregate workload answers: local sums for covered queries, the
     equality-product protocol for Q*.
 
@@ -377,7 +369,7 @@ def pi_comp(eng, partials_per_holder: list[dict], workload: Workload,
     with eng.scope("pi_comp"):
         for q in workload.queries:
             if q in qstar_set:
-                answers[q] = p_way_marginal(eng, shared_data, q, schema, cell_budget)
+                answers[q] = p_way_marginal(eng, shared_data, q, schema)
             else:
                 acc = None
                 for partials in partials_per_holder:
@@ -387,8 +379,7 @@ def pi_comp(eng, partials_per_holder: list[dict], workload: Workload,
 
 
 def compute_workload_answers(eng, dataset: Dataset, plan: PartitionPlan,
-                             workload: Workload,
-                             cell_budget: int = DEFAULT_CELL_BUDGET):
+                             workload: Workload):
     """End-to-end holder simulation: split, local shares, join, aggregate."""
     n, d = dataset.n, dataset.schema.dims
     plan.validate(n, d)
@@ -406,5 +397,5 @@ def compute_workload_answers(eng, dataset: Dataset, plan: PartitionPlan,
     if need_cells:
         shared_data = pi_join(eng, plan, cells_per_holder, n, d)
     return pi_comp(
-        eng, partials_per_holder, workload, qstar, shared_data, dataset.schema, cell_budget
+        eng, partials_per_holder, workload, qstar, shared_data, dataset.schema
     )

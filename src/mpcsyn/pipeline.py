@@ -27,7 +27,6 @@ import numpy as np
 
 from .fixed import FX_ONE, encode
 from .marginals import (
-    DEFAULT_CELL_BUDGET,
     Dataset,
     PartitionPlan,
     Query,
@@ -400,8 +399,7 @@ def sample_synthetic(dist: JointDistribution, n_out: int,
 def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
                  budget: PrivacyBudget, algo: str = "AIM",
                  noise_kind: str = "gaussian-box-muller",
-                 backend: str = "mpc", seed: int = 0,
-                 cell_budget: int = DEFAULT_CELL_BUDGET):
+                 backend: str = "mpc", seed: int = 0):
     """Full synthesis run; returns (synthetic Dataset, JSON-ready run log).
 
     Workload answers are computed once up front (local partial counts,
@@ -444,8 +442,7 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
         _check_aim_scale(n, params, workload)
 
     eng = make_engine(backend, seed=seed)
-    answers = compute_workload_answers(eng, dataset, plan, workload,
-                                       cell_budget=cell_budget)
+    answers = compute_workload_answers(eng, dataset, plan, workload)
     shared_counts = [answers[q] for q in workload.queries]
     width = max(q.size(schema) for q in workload.queries)
     pool = draw_noise(eng, noise, budget.rounds * width)

@@ -77,13 +77,9 @@ def _const_like(eng, x, c: float, frac_bits: int = F):
     return eng.const_vec(np.broadcast_to(_enc_at(c, frac_bits), x.shape).copy())
 
 
-def _pub_bit(word: np.ndarray, j: int) -> np.ndarray:
-    return (word >> np.uint64(j)) & np.uint64(1)
-
-
-def _pub_bits(word: np.ndarray, nbits: int) -> np.ndarray:
-    """Bits 0..nbits-1 of public words, stacked on a new leading axis."""
-    pos = np.arange(nbits, dtype=U64).reshape((nbits,) + (1,) * np.ndim(word))
+def _pub_bits(word: np.ndarray, positions) -> np.ndarray:
+    """Bits of public words at ``positions``, stacked on a new leading axis."""
+    pos = np.asarray(positions, dtype=U64).reshape((-1,) + (1,) * np.ndim(word))
     return (word >> pos) & np.uint64(1)
 
 
@@ -136,25 +132,13 @@ def sec_eq(eng, x, other, nbits: int = 64):
         return PlainVec((d.raw == 0).astype(U64))
     m, bits = eng.masked_open(d, nbits)
     # d == 0 iff the opened low bits equal the mask bits, all nbits pairs
-    return _and_reduce(eng, _xor_pub(eng, bits, np.uint64(1) - _pub_bits(m, nbits)))
+    return _and_reduce(eng, _xor_pub(eng, bits, np.uint64(1) - _pub_bits(m, range(nbits))))
 
 
 def _outside_width(d: np.ndarray, nbits: int) -> np.ndarray:
     """[|d| >= 2^nbits] for signed words d, nbits < 64: d lies in
     (-2^nbits, 2^nbits) iff d + 2^nbits - 1 (mod 2^64) < 2^(nbits+1) - 1."""
-    with np.errstate(over="ignore"):
-        return d + np.uint64((1 << nbits) - 1) >= np.uint64((2 << nbits) - 1)
-
-
-def _sign_bit(eng, d):
-    """Share of the sign bit of d under signed interpretation."""
-    if eng.is_plain:
-        return PlainVec((d.raw >> np.uint64(63)).astype(U64))
-    m, bits = eng.masked_open(d)
-    # d = m - R: sign = m_63 XOR r_63 XOR borrow into bit 63
-    borrow = eng.index(eng.borrow_taps(m, bits, [63]), 0)
-    t = _xor_pub(eng, eng.index(bits, 63), _pub_bit(m, 63))
-    return _xor_shared(eng, t, borrow)
+    return np.add(d, np.uint64((1 << nbits) - 1)) >= np.uint64((2 << nbits) - 1)
 
 
 def sec_cmp(eng, x, y, mode: str):
@@ -172,7 +156,7 @@ def sec_cmp(eng, x, y, mode: str):
     else:
         raise ValueError(f"unknown comparison mode {mode!r}")
     eng.count("gt", d.size)
-    sign = _sign_bit(eng, d)
+    sign = eng.index(_value_bits(eng, d, (63,)), 0)  # signed d < 0
     if mode == "GTE":
         return eng.sub(eng.const_vec(np.broadcast_to(np.uint64(1), sign.shape).copy()), sign)
     return sign
@@ -215,14 +199,16 @@ def _horner(eng, x, coeffs, frac_bits: int):
     return acc
 
 
-def _value_bits(eng, x, nbits: int):
-    """Shared bits 0..nbits-1 of x; contract: all higher bits of x are zero."""
+def _value_bits(eng, x, positions):
+    """Shared bits of the word x at bit ``positions``, stacked on a new
+    leading axis in that order; exact for any word."""
+    positions = list(positions)
     if eng.is_plain:
-        return PlainVec(_pub_bits(x.raw, nbits))
+        return PlainVec(_pub_bits(x.raw, positions))
     m, rbits = eng.masked_open(x)
     # x = m - R: bit j = m_j XOR r_j XOR borrow into bit j, all bits at once
-    borrows = eng.borrow_taps(m, rbits, range(nbits))
-    t = _xor_pub(eng, eng.index(rbits, slice(0, nbits)), _pub_bits(m, nbits))
+    borrows = eng.borrow_taps(m, rbits, positions)
+    t = _xor_pub(eng, eng.index(rbits, positions), _pub_bits(m, positions))
     return _xor_shared(eng, t, borrows)
 
 
@@ -234,24 +220,17 @@ def _or_combine(eng, hi, lo):
 def _msb_onehot(eng, x, nbits: int):
     """One-hot of the most significant set bit among positions 0..nbits-1.
 
-    All-zero input yields the all-zero vector (callers exploit this for
-    the x = 0 edge case). The suffix ORs s_j = OR of bits j..nbits-1 are
+    Contract: the bits of x at nbits and above are zero. All-zero input
+    yields the all-zero vector (callers exploit this for the x = 0 edge
+    case). The suffix ORs s_j = OR of bits j..nbits-1 are
     prefixes of the reversed bits, so one log-depth scan yields both s_j
     and s_{j+1}; the one-hot is their difference.
     """
-    bits = _value_bits(eng, x, nbits)
+    bits = _value_bits(eng, x, range(nbits))
     rev = eng.reshape(eng.index(bits, slice(None, None, -1)), (1, nbits) + x.shape)
     taps = list(range(nbits, 0, -1)) + list(range(nbits - 1, -1, -1))
     ors = prefix_scan(eng, rev, _or_combine, taps)
     return eng.sub(eng.index(ors, slice(0, nbits)), eng.index(ors, slice(nbits, 2 * nbits)))
-
-
-def _weighted_bitsum(eng, onehot, weights):
-    """Integer share sum_j weights[j] * onehot_j (local)."""
-    w = as_word(np.asarray(weights, dtype=object)).reshape(
-        (len(weights),) + (1,) * (len(onehot.shape) - 1)
-    )
-    return eng.sum_axis(eng.mul_const_int(onehot, w), axis=0)
 
 
 def sec_exp(eng, x):
@@ -280,11 +259,11 @@ def sec_ln(eng, x):
     """
     x = _clamp(eng, x, *LN_DOMAIN)
     onehot = _msb_onehot(eng, x, 34)  # raw in [1, 2^33]
-    factor = _weighted_bitsum(eng, onehot, [1 << (33 - j) for j in range(34)])
+    factor = eng.bit_sum(onehot, [1 << (33 - j) for j in range(34)])
     m = eng._mul_raw(x, factor)  # mantissa in [2, 4) at full scale
     u = eng.trunc(eng.sub_const(m, encode(3.0)), F - 28)
     lnm = _horner(eng, u, _LN_COEFS, 28)
-    p = _weighted_bitsum(eng, onehot, list(range(34)))
+    p = eng.bit_sum(onehot, list(range(34)))
     out = eng.mul_const_int(lnm, 1 << (F - 28))
     # exact local term (p - 33) * ln 2: integer share times public word
     return eng.add(out, eng.mul_const_int(eng.add_const(p, as_word(-33)), _LN2))
@@ -301,7 +280,7 @@ def sec_sqrt(eng, x):
     x = _clamp(eng, x, *SQRT_DOMAIN)
     onehot = _msb_onehot(eng, x, 39)  # raw in [0, 2^38]
     shifts = [(39 - p) // 2 for p in range(39)]  # x * 4^s lands in [64, 256)
-    scale_up = _weighted_bitsum(eng, onehot, [1 << (2 * s) for s in shifts])
+    scale_up = eng.bit_sum(onehot, [1 << (2 * s) for s in shifts])
     m = eng._mul_raw(x, scale_up)
     m26 = eng.trunc(m, F - 26)
     a, b = _INVSQRT_INIT
@@ -316,7 +295,7 @@ def sec_sqrt(eng, x):
         t = eng.add_const(eng.neg(w), three)
         z = eng.trunc(eng._mul_raw(z, t), 27)  # z*(3 - m*z^2)/2
     root = eng.trunc(eng._mul_raw(m26, z), 26)  # sqrt(m) = m * invsqrt(m)
-    scale_down = _weighted_bitsum(eng, onehot, [1 << (26 - s) for s in shifts])
+    scale_down = eng.bit_sum(onehot, [1 << (26 - s) for s in shifts])
     out = eng.trunc(eng._mul_raw(root, scale_down), 26)
     return eng.mul_const_int(out, 1 << (F - 26))
 

@@ -15,6 +15,13 @@ bytes per element. Comparison and truncation recover their borrow bits
 with a log-depth parallel-prefix network (``prefix_scan``), so a 64-bit
 borrow costs 6 rounds instead of 64.
 
+Ring arithmetic wraps mod 2^64 without any error-state handling: every
+ring op is a ufunc call or an operator on an array of at least one
+dimension, never operator arithmetic on two numpy scalars, which warns on
+overflow (see ``fixed``). Every weighted sum of shared bits (a mask's
+word, truncation's high part, a uniform draw, the power-of-two factors of
+the elementary functions) is one ``bit_sum``, a local matmul over axis 0.
+
 ``PlainEngine`` exposes the identical operation surface on plaintext
 words. It is the trusted-aggregator (cdp) backend: same fixed-point
 semantics, same DP-level randomness streams, no communication. Because
@@ -27,7 +34,7 @@ yields bit-identical results.
 from __future__ import annotations
 
 import functools
-import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -37,18 +44,8 @@ from .fixed import F, HALF, as_word, decode, encode, trunc_word
 
 U64 = np.uint64
 MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _wrapping(fn):
-    """Ring arithmetic wraps mod 2^64 by design; numpy's scalar-overflow
-    warning (which fires on 0-d operands) is noise here."""
-
-    @functools.wraps(fn)
-    def inner(*args, **kwargs):
-        with np.errstate(over="ignore"):
-            return fn(*args, **kwargs)
-
-    return inner
+_BIT_POS = np.arange(64, dtype=U64)
+_BIT_WEIGHTS = np.uint64(1) << _BIT_POS
 
 
 def _as_shape(shape) -> tuple[int, ...]:
@@ -151,9 +148,6 @@ class Transcript:
             "counters": dict(sorted(self.counters.items())),
             "scopes": {k: dict(v) for k, v in sorted(self.scopes.items())},
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.summary(), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -274,9 +268,6 @@ class _EngineBase:
     def trunc(self, x, g: int = F):
         raise NotImplementedError
 
-    def _embed_public(self, raws: np.ndarray):
-        raise NotImplementedError
-
     def _xor3(self, b0, b1, b2):
         """Combine the three pairwise PRF bit arrays into one shared bit."""
         raise NotImplementedError
@@ -290,7 +281,7 @@ class _EngineBase:
         self.count("rand_bit", n)
         inj = self._pop_injected(self._injected_bits, n)
         if inj is not None:
-            return self._embed_public(inj.reshape(shape))
+            return self.const_vec(inj.reshape(shape))
         draws = [g.integers(0, 2, size=shape, dtype=U64) for g in self._noise_streams]
         return self._xor3(*draws)
 
@@ -301,10 +292,8 @@ class _EngineBase:
         inj = self._pop_injected(self._injected_uniform, n)
         if inj is not None:
             self.count("rand_bit", F * n)
-            return self._embed_public(inj.reshape(shape))
-        bits = self.rand_bit((F,) + shape)
-        weights = (np.uint64(1) << np.arange(F, dtype=U64)).reshape((F,) + (1,) * len(shape))
-        return self.sum_axis(self.mul_const_int(bits, weights), axis=0)
+            return self.const_vec(inj.reshape(shape))
+        return self.bit_sum(self.rand_bit((F,) + shape), _BIT_WEIGHTS[:F])
 
     # -- generic derived operations -------------------------------------------
 
@@ -402,6 +391,20 @@ class _EngineBase:
         axis = self._axis(axis)
         return self._layout(lambda a: np.cumsum(a, axis=axis, dtype=U64), x)
 
+    def bit_sum(self, bits, weights):
+        """Share of sum_j weights[j] * bits[j] over axis 0: one local matmul,
+        exact mod 2^64. ``weights`` are uint64 words or Python ints."""
+        if not isinstance(weights, np.ndarray):
+            weights = np.asarray(weights, dtype=object)  # ints of any size
+        w, lead = as_word(weights), self._lead
+
+        def weighted(a):
+            n = math.prod(a.shape[lead + 1:])
+            out = np.matmul(w, a.reshape(a.shape[:lead + 1] + (n,)))
+            return out.reshape(a.shape[:lead] + a.shape[lead + 1:])
+
+        return self._layout(weighted, bits)
+
     def assemble(self, shape, placements):
         """Zero array with rectangles written in: (row_slice, columns, vec)."""
         raise NotImplementedError
@@ -432,10 +435,6 @@ def _disagreeing(data: np.ndarray, comps) -> int | None:
         if not np.array_equal(data[c, 0], data[(c + 2) % 3, 1]):
             return c
     return None
-
-
-_BIT_POS = np.arange(64, dtype=U64)
-_BIT_WEIGHTS = np.uint64(1) << _BIT_POS
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,7 +477,6 @@ class Mpc3Engine(_EngineBase):
 
     # -- sharing / reconstruction ----------------------------------------------
 
-    @_wrapping
     def share(self, raws, owner: int = 0) -> ShareVec:
         """Owner splits its input into uniform components and distributes pairs."""
         raws = as_word(raws)
@@ -488,7 +486,7 @@ class Mpc3Engine(_EngineBase):
         comps = [None, None, None]
         comps[owner] = a
         comps[(owner + 1) % 3] = b
-        comps[(owner + 2) % 3] = raws - a - b
+        comps[(owner + 2) % 3] = np.subtract(np.subtract(raws, a), b)
         self.transcript.next_round()
         for other in ((owner + 1) % 3, (owner + 2) % 3):
             # owner ships party `other` its pair (c_other, c_other+1)
@@ -501,9 +499,6 @@ class Mpc3Engine(_EngineBase):
         data = np.zeros((3, 2) + raws.shape, dtype=U64)
         _add_public(data, raws)
         return ShareVec(data)
-
-    def _embed_public(self, raws: np.ndarray) -> ShareVec:
-        return self.const_vec(raws)
 
     def reconstruct(self, x: ShareVec) -> np.ndarray:
         """Simulator-level reconstruction with the replication tripwire."""
@@ -553,13 +548,6 @@ class Mpc3Engine(_EngineBase):
         _add_public(data, as_word(raws))
         return ShareVec(data)
 
-    def _bit_sum(self, bits: ShareVec, weights: np.ndarray) -> ShareVec:
-        """Share of sum_j weights[j] * bits[j] (local; no full-size temporary)."""
-        d = bits.data
-        n = int(np.prod(d.shape[3:], dtype=np.int64))
-        out = np.matmul(weights, d.reshape(d.shape[:3] + (n,)))
-        return ShareVec(out.reshape(d.shape[:2] + d.shape[3:]))
-
     # -- interactive operations ---------------------------------------------------
 
     def _add_zero_share(self, w: np.ndarray) -> None:
@@ -596,11 +584,9 @@ class Mpc3Engine(_EngineBase):
         out[2, 1] = w[0]
         return ShareVec(out)
 
-    def mul(self, x: ShareVec, y: ShareVec, count: bool = True) -> ShareVec:
+    def mul(self, x: ShareVec, y: ShareVec) -> ShareVec:
         """Protocol-level multiplication (3 messages, one ring element each way)."""
-        if count:
-            n = int(np.prod(np.broadcast_shapes(x.shape, y.shape), dtype=np.int64))
-            self.count("mul", n)
+        self.count("mul", math.prod(np.broadcast_shapes(x.shape, y.shape)))
         return self._mul_impl(x, y)
 
     def _mul_raw(self, x: ShareVec, y: ShareVec) -> ShareVec:
@@ -671,7 +657,7 @@ class Mpc3Engine(_EngineBase):
         per element, their two resharings and one opening (3 rounds).
         """
         bits = self.mask_bits(x.shape, nbits)
-        r = self._bit_sum(bits, _BIT_WEIGHTS[:nbits])
+        r = self.bit_sum(bits, _BIT_WEIGHTS[:nbits])
         if nbits < 64:
             n = int(np.prod(x.shape, dtype=np.int64))
             high = [g.bit_generator.random_raw(n).reshape(x.shape) << np.uint64(nbits)
@@ -695,7 +681,6 @@ class Mpc3Engine(_EngineBase):
         taps = tuple(int(t) for t in taps)
         return prefix_scan(self, _borrow_leaves(m, bits, max(taps)), _borrow_combine, taps)
 
-    @_wrapping
     def trunc(self, x: ShareVec, g: int = F) -> ShareVec:
         """Exact arithmetic right shift by g bits of the shared 64-bit value.
 
@@ -712,9 +697,9 @@ class Mpc3Engine(_EngineBase):
         c_pub, bits = self.masked_open(biased)
         borrows = self.borrow_taps(c_pub, bits, (g, 64)).data
         carry, ov = borrows[:, :, 0], borrows[:, :, 1]
-        r_high = self._bit_sum(bits, _high_weights(g)).data
+        r_high = self.bit_sum(bits, _high_weights(g)).data
         unbias = np.uint64((1 << (63 - g)) & MASK64)
-        pub = (c_pub >> np.uint64(g)) - unbias
+        pub = np.subtract(c_pub >> np.uint64(g), unbias)
         y = ov * (np.uint64(1) << np.uint64(64 - g)) - r_high - carry
         _add_public(y, pub)
         return ShareVec(y)
@@ -838,37 +823,27 @@ class PlainEngine(_EngineBase):
     def const_vec(self, raws) -> PlainVec:
         return PlainVec(as_word(raws).copy())
 
-    def _embed_public(self, raws: np.ndarray) -> PlainVec:
-        return PlainVec(raws.copy())
-
     def reconstruct(self, x: PlainVec) -> np.ndarray:
         return x.raw
 
     def open(self, x: PlainVec, to: int | None = None) -> np.ndarray:
         return x.raw
 
-    @_wrapping
     def _layout(self, fn, *vecs):
         return PlainVec(np.asarray(fn(*(v.raw for v in vecs)), dtype=U64))
 
-    @_wrapping
     def add(self, x: PlainVec, y: PlainVec) -> PlainVec:
-        return PlainVec(x.raw + y.raw)
+        return PlainVec(np.add(x.raw, y.raw))
 
-    @_wrapping
     def mul_const_int(self, x: PlainVec, c) -> PlainVec:
-        return PlainVec(x.raw * as_word(np.asarray(c)))
+        return PlainVec(np.multiply(x.raw, as_word(np.asarray(c))))
 
-    @_wrapping
-    def mul(self, x: PlainVec, y: PlainVec, count: bool = True) -> PlainVec:
-        if count:
-            n = int(np.prod(np.broadcast_shapes(x.shape, y.shape), dtype=np.int64))
-            self.count("mul", n)
-        return PlainVec(x.raw * y.raw)
+    def mul(self, x: PlainVec, y: PlainVec) -> PlainVec:
+        self.count("mul", math.prod(np.broadcast_shapes(x.shape, y.shape)))
+        return PlainVec(np.multiply(x.raw, y.raw))
 
-    @_wrapping
     def _mul_raw(self, x: PlainVec, y: PlainVec) -> PlainVec:
-        return PlainVec(x.raw * y.raw)
+        return PlainVec(np.multiply(x.raw, y.raw))
 
     def _xor3(self, b0, b1, b2) -> PlainVec:
         return PlainVec(b0 ^ b1 ^ b2)

@@ -132,6 +132,24 @@ def test_gen_with_workload_file(tmp_path):
     assert len(report["per_query"]) == 2
 
 
+@pytest.mark.parametrize("index", [9, -1])
+@pytest.mark.parametrize("command", ["gen", "metrics"])
+def test_workload_index_outside_schema_exits_one(tmp_path, capsys, command, index):
+    wl_path = tmp_path / "wl.json"
+    wl_path.write_text(json.dumps([[0, index]]))
+    if command == "gen":
+        argv = ["gen", "--data", TOY_CSV, "--out", str(tmp_path / "s.csv"),
+                "--backend", "cdp"]
+    else:
+        argv = ["metrics", "--real", TOY_CSV, "--synth", TOY_CSV]
+    code = cli.main(argv + ["--domain", TOY_DOMAIN, "--workload", str(wl_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"attribute index {index} in workload is outside [0, 5)" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_metrics_subcommand(tmp_path, capsys):
     # identical datasets score zero; stdout when --out is omitted
     code = cli.main(["metrics", "--real", TOY_CSV, "--synth", TOY_CSV,

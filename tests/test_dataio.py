@@ -207,6 +207,14 @@ def test_load_workload(tmp_path):
         load_workload(bad, schema)
 
 
+@pytest.mark.parametrize("index", [2, 9, -1])
+def test_load_workload_rejects_index_outside_schema(tmp_path, index):
+    schema = Schema((AttrDomain("age", 3), AttrDomain("sex", 2)))
+    p = write(tmp_path, "w.json", json.dumps([[0, index]]))
+    with pytest.raises(IngestionError, match=f"attribute index {index} "):
+        load_workload(p, schema)
+
+
 def test_workload_error_identity_and_disjoint():
     ds = _random_dataset(50, [2, 2], 7)
     wl = build_workload(ds.schema)

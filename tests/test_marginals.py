@@ -246,10 +246,11 @@ def test_p_way_cdp_fails_closed_on_cells_outside_width():
 
 def test_p_way_cell_budget():
     eng = make_engine("cdp", seed=91)
-    schema = M.Schema(tuple(M.AttrDomain(f"a{i}", 40) for i in range(3)))
+    # 50^3 = 125,000 cells, over the 100,000-cell budget
+    schema = M.Schema(tuple(M.AttrDomain(f"a{i}", 50) for i in range(3)))
     data = eng.share(np.zeros((2, 3), dtype=np.uint64))
     with pytest.raises(M.CellBudgetError):
-        M.p_way_marginal(eng, data, M.Query((0, 1, 2)), schema, cell_budget=10_000)
+        M.p_way_marginal(eng, data, M.Query((0, 1, 2)), schema)
 
 
 @pytest.mark.parametrize("backend", ("mpc", "cdp"))

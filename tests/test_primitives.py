@@ -363,7 +363,7 @@ def test_value_bits_and_msb_onehot_match_plaintext(backend, nbits):
     vals[0, :3] = [0, 1, (1 << nbits) - 1]
     vals[1] >>= rng.integers(0, nbits, size=6).astype(np.uint64)  # spread the msb
     x = eng.share(vals)
-    bits = eng.reconstruct(prim._value_bits(eng, x, nbits))
+    bits = eng.reconstruct(prim._value_bits(eng, x, range(nbits)))
     want_bits = (vals >> np.arange(nbits, dtype=np.uint64).reshape(-1, 1, 1)) & np.uint64(1)
     assert np.array_equal(bits, want_bits)
     onehot = eng.reconstruct(prim._msb_onehot(eng, x, nbits))
@@ -402,10 +402,49 @@ def test_log_depth_networks_records_data_independent():
         x = eng.share(fixed.encode(vals))
         prim.sec_ln(eng, x)
         prim.sec_sqrt(eng, x)
-        prim._value_bits(eng, eng.share(np.arange(vals.size, dtype=np.uint64)), 34)
+        prim._value_bits(eng, eng.share(np.arange(vals.size, dtype=np.uint64)), range(34))
         return eng.transcript.records
 
     rng = np.random.default_rng(66)
     recs_a = run(rng.uniform(0.01, 2.0, size=(2, 7)))
     recs_b = run(rng.uniform(0.01, 2.0, size=(2, 7)))
     assert recs_a == recs_b
+
+
+def _sign_bit_reference(eng, d):
+    """The sign bit by its own borrow network: tap 63 alone, no stacking."""
+    m, bits = eng.masked_open(d)
+    borrow = eng.index(eng.borrow_taps(m, bits, [63]), 0)
+    t = prim._xor_pub(eng, eng.index(bits, 63), (m >> np.uint64(63)) & np.uint64(1))
+    return prim._xor_shared(eng, t, borrow)
+
+
+_SIGN_VALUES = np.array([0, -1, 1 << 30, -(1 << 30)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", [(4,), (2, 2)])
+def test_value_bits_at_63_is_the_sign_bit(backend, shape):
+    eng = make_engine(backend, seed=67)
+    vals = _SIGN_VALUES.reshape(shape)
+    bits = eng.reconstruct(prim._value_bits(eng, eng.share(vals.astype(np.uint64)), (63,)))
+    assert bits.shape == (1,) + shape
+    assert np.array_equal(bits[0], (vals < 0).astype(np.uint64))
+    lt = eng.reconstruct(prim.sec_cmp(eng, eng.share(vals.astype(np.uint64)),
+                                      eng.share(np.zeros(shape, dtype=np.uint64)), "LT"))
+    assert np.array_equal(lt, (vals < 0).astype(np.uint64))
+
+
+def test_value_bits_at_63_messages_match_a_lone_sign_network():
+    # same mask draws, borrow taps, message sizes and order, and share words
+    outs = []
+    for sign in (lambda e, d: e.index(prim._value_bits(e, d, (63,)), 0),
+                 _sign_bit_reference):
+        eng = Mpc3Engine(seed=68, record_messages=True)
+        d = eng.share(_SIGN_VALUES.astype(np.uint64))
+        outs.append((sign(eng, d).data, eng.transcript.records,
+                     eng.transcript.summary()))
+    (data_a, recs_a, sum_a), (data_b, recs_b, sum_b) = outs
+    assert np.array_equal(data_a, data_b)
+    assert recs_a == recs_b
+    assert sum_a == sum_b

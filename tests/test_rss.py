@@ -312,7 +312,7 @@ def test_transcript_json_round_trip():
 
     eng = Mpc3Engine(seed=24)
     eng.mul(eng.share(np.uint64(2)), eng.share(np.uint64(3)))
-    blob = json.loads(eng.transcript.to_json())
+    blob = json.loads(json.dumps(eng.transcript.summary()))
     assert blob["messages"] == eng.transcript.msg_count
     assert blob["counters"]["mul"] == 1
 
@@ -430,3 +430,100 @@ def test_layout_helpers_broadcast_like_plaintext():
         outs.append([eng.reconstruct(v) for v in got])
     for m, p in zip(*outs):
         assert m.shape == p.shape and np.array_equal(m, p)
+
+
+# -- ring wraparound on 0-d and 1-element operands ---------------------------
+#
+# An op on 0-d words returns a numpy scalar, and numpy's +, - and * on two
+# scalars warn on overflow; the engines' ring ops wrap silently on both.
+# Each chain feeds one op's result into a second op, so on the plaintext
+# engine the second op sees numpy scalars. The RuntimeWarning filter
+# (also set project-wide) turns any overflow warning into a failure.
+
+_TOP = (1 << 64) - 1
+_HALF = 1 << 63
+
+
+def _ring_chains(eng, word):
+    def w(v):
+        return eng.share(word(v))
+
+    half, top = w(_HALF), w(_TOP)
+    m3 = eng.mul_const_int(top, 3)  # (2^64 - 1) * 3 = 2^64 - 3
+    zero = eng.add(half, half)  # 2^63 + 2^63 = 0
+    return [
+        ("add", zero, 0),
+        ("add.add", eng.add(m3, m3), -6),
+        ("sub.sub", eng.sub(eng.sub(zero, m3), top), 4),
+        ("neg.neg", eng.neg(eng.neg(m3)), -3),
+        ("mul_const_int.mul_const_int", eng.mul_const_int(m3, 3), -9),
+        ("mul", eng.mul(m3, m3), 9),
+        ("_mul_raw", eng._mul_raw(m3, m3), 9),
+        ("mul.add", eng.add(eng.mul(top, top), m3), -2),
+        ("add_const", eng.add_const(m3, np.uint64(_HALF)), _HALF - 3),
+        ("sub_const", eng.sub_const(m3, np.uint64(5)), -8),
+        ("const_vec.add", eng.add(eng.const_vec(word(_TOP)), m3), -4),
+        ("scale_pub int", eng.scale_pub(m3, 3.0), -9),
+        ("trunc", eng.trunc(m3, 1), -2),
+        ("trunc 2^63-1", eng.trunc(w(_HALF - 1), 1), (_HALF - 1) >> 1),
+        ("trunc -2^63", eng.trunc(half, 1), -(1 << 62)),
+        ("trunc -2^63+1", eng.trunc(w(_HALF + 1), 63), -1),
+        ("trunc.add", eng.add(eng.trunc(eng.add(half, top), 3), m3),
+         ((_HALF - 1) >> 3) - 3),
+        ("sum_axis.add", eng.add(eng.sum_axis(eng.stack([m3, m3, top])), m3),
+         -10),
+    ]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("backend", ["mpc", "cdp"])
+@pytest.mark.parametrize("shape", [(), (1,)], ids=["0d", "1elem"])
+def test_ring_ops_wrap_silently_on_scalars(backend, shape):
+    eng = make_engine(backend, seed=71)
+
+    def word(v):
+        return np.full(shape, v % (1 << 64), dtype=np.uint64)
+
+    for name, out, want in _ring_chains(eng, word):
+        got = eng.open(out)
+        assert np.shape(got) == shape, name
+        assert np.array_equal(got, word(want)), (name, got, want % (1 << 64))
+        assert out.shape == shape, name
+
+
+# -- weighted bit-sums ----------------------------------------------------------
+
+
+def _bit_sum_reference(bits: np.ndarray, weights) -> np.ndarray:
+    """sum_j w_j * b_j mod 2^64 in Python integers."""
+    out = np.zeros(bits.shape[1:], dtype=np.uint64)
+    for idx in np.ndindex(out.shape):
+        total = sum(int(w) * int(bits[(j,) + idx]) for j, w in enumerate(weights))
+        out[idx] = total % (1 << 64)
+    return out
+
+
+_BIT_SUM_WEIGHTS = {
+    "uint64": np.array([1, 1 << 32, 1 << 63, _TOP, 0xDEADBEEF12345678],
+                       dtype=np.uint64),
+    "python-int": [1 << 32, (1 << 40) + 7, 1 << 63, _TOP, 3],
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("backend", ["mpc", "cdp"])
+@pytest.mark.parametrize("kind", sorted(_BIT_SUM_WEIGHTS))
+@pytest.mark.parametrize("shape", [(), (0,), (2, 3)], ids=["0d", "empty", "2x3"])
+def test_bit_sum_matches_reference(backend, kind, shape):
+    weights = _BIT_SUM_WEIGHTS[kind]
+    eng = make_engine(backend, seed=73)
+    rng = np.random.default_rng(73)
+    bits = rng.integers(0, 2, size=(len(weights),) + shape, dtype=np.uint64)
+    if bits.size:
+        bits.reshape(len(weights), -1)[:, 0] = 1  # one element uses every weight
+    x = eng.share(bits)
+    before = eng.transcript.msg_count
+    out = eng.bit_sum(x, weights)
+    assert eng.transcript.msg_count == before  # local
+    assert out.shape == shape
+    assert np.array_equal(eng.open(out), _bit_sum_reference(bits, weights))
