@@ -223,7 +223,8 @@ def build_workload(schema: Schema, kind: str = "all-2way") -> Workload:
 
 def load_workload(path, schema: Schema) -> Workload:
     """Workload JSON: {"queries": [[attr...], ...], "weights": [...]}
-    or a bare list of queries; attrs by name or by index in [0, d)."""
+    or a bare list of queries; attrs by name or by JSON integer index in
+    [0, d) (a float or a bool is not an index)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
@@ -237,7 +238,10 @@ def load_workload(path, schema: Schema) -> Workload:
             if a not in by_name:
                 raise IngestionError(f"unknown attribute {a!r} in workload")
             return by_name[a]
-        j = int(a)
+        if isinstance(a, bool) or not isinstance(a, int):
+            raise IngestionError(
+                f"attribute {json.dumps(a)} in workload is neither a name nor an integer index")
+        j = a
         if not 0 <= j < schema.dims:
             raise IngestionError(
                 f"attribute index {j} in workload is outside [0, {schema.dims})")

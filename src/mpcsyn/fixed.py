@@ -10,10 +10,6 @@ wrap silently on arrays and scalars alike; the ``+``, ``-`` and ``*``
 operators on two numpy scalars would warn on overflow instead.
 
 The representable range is |r| < 2^(63-F) = 2^31 with granularity 2^-F.
-``fx_mul_trunc`` is the reference product semantics: the full-width
-128-bit signed product arithmetically right-shifted by F. The protocol
-layer realizes the same result as a wrapped 64-bit product followed by
-``trunc_word`` whenever the true product is representable.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ import numpy as np
 
 
 F = 32
-MASK32 = np.uint64(0xFFFFFFFF)
 HALF = 1 << 63  # sign threshold / truncation bias
 FX_ONE = np.uint64(1) << np.uint64(F)
 RANGE_LIMIT = float(1 << (63 - F))  # strict bound on |r|
@@ -73,38 +68,3 @@ def trunc_word(w, g: int = F) -> np.ndarray:
     a = as_word(w)
     shifted = (a.reshape(a.shape or (1,)).view(np.int64) >> np.int64(g)).astype(np.uint64)
     return shifted.reshape(a.shape)
-
-
-def _mul_128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low) words of the unsigned 128-bit product, via 32-bit limbs."""
-    s32 = np.uint64(32)
-    a_lo, a_hi = a & MASK32, a >> s32
-    b_lo, b_hi = b & MASK32, b >> s32
-    lo_lo = a_lo * b_lo
-    hi_lo = a_hi * b_lo
-    lo_hi = a_lo * b_hi
-    cross = (lo_lo >> s32) + (hi_lo & MASK32) + lo_hi  # never overflows
-    high = (hi_lo >> s32) + (cross >> s32) + a_hi * b_hi
-    low = (cross << s32) | (lo_lo & MASK32)
-    return high, low
-
-
-def fx_mul_trunc(a, b) -> np.ndarray:
-    """Fixed-point multiply: full-width signed product >> F, mod 2^64.
-
-    Exact truncation semantics (floor of the real product scaled by 2^F)
-    as long as the true product magnitude stays below 2^(63-F); beyond
-    that the result wraps, documented and untrapped.
-    """
-    aw0, bw0 = as_word(a), as_word(b)
-    shape = np.broadcast_shapes(aw0.shape, bw0.shape)
-    # flat 1-d operands: every operator below is an array op, never the
-    # numpy-scalar arithmetic a 0-d operand would decay into
-    aw, bw = (np.ravel(w) for w in np.broadcast_arrays(aw0, bw0))
-    high, low = _mul_128(aw, bw)
-    # adjust the high word for two's-complement signs: A*B = a*b - 2^64*(s_a*b + s_b*a) (mod 2^128)
-    sign_a = aw >> np.uint64(63)
-    sign_b = bw >> np.uint64(63)
-    high = high - sign_a * bw - sign_b * aw
-    out = (high << np.uint64(64 - F)) | (low >> np.uint64(F))
-    return np.asarray(out, dtype=np.uint64).reshape(shape)

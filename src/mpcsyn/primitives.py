@@ -3,7 +3,10 @@
 Every construction here follows the masked-opening pattern: blind the
 relevant value with fresh shared random bits, open the blinded word (it
 is uniform, so the opening leaks nothing), then recover the predicate
-from the public word and the shared mask bits with a borrow/carry chain.
+from the public word and the shared mask bits. Equality ANDs the
+mask bits against the opened ones; the sign bit of a comparison and the
+most-significant-bit one-hot of ln and sqrt come from the engine's
+packed borrow network (``Mpc3Engine.value_bits`` and ``msb_onehot``).
 The message pattern of each primitive therefore depends only on shapes,
 never on the data.
 
@@ -29,7 +32,7 @@ import math
 import numpy as np
 
 from .fixed import F, FX_ONE, as_word, encode
-from .rss import PlainVec, RangeContractError, U64, check_width, prefix_scan
+from .rss import PlainVec, RangeContractError, U64, check_width
 
 EXP_DOMAIN = (-16.0, 0.0)
 LN_DOMAIN = (2.0**-F, 2.0)
@@ -89,11 +92,6 @@ def _xor_pub(eng, b, m: np.ndarray):
     return eng.add_const(eng.mul_const_int(b, np.uint64(1) - m - m), m)
 
 
-def _xor_shared(eng, a, b):
-    """a XOR b for shared bits (one raw multiplication)."""
-    return eng.sub(eng.add(a, b), eng.mul_const_int(eng._mul_raw(a, b), 2))
-
-
 def _and_reduce(eng, leaves):
     """AND over axis 0 of shared bits; n-1 bit-multiplications, log depth."""
     cur, length = leaves, leaves.shape[0]
@@ -130,9 +128,9 @@ def sec_eq(eng, x, other, nbits: int = 64):
         if nbits < 64 and np.any(_outside_width(d.raw, nbits)):
             raise RangeContractError(f"sec_eq: a difference has |d| >= 2^{nbits}")
         return PlainVec((d.raw == 0).astype(U64))
-    m, bits = eng.masked_open(d, nbits)
+    m, mask = eng.masked_open(d, nbits)
     # d == 0 iff the opened low bits equal the mask bits, all nbits pairs
-    return _and_reduce(eng, _xor_pub(eng, bits, np.uint64(1) - _pub_bits(m, range(nbits))))
+    return _and_reduce(eng, _xor_pub(eng, mask.bits, np.uint64(1) - _pub_bits(m, range(nbits))))
 
 
 def _outside_width(d: np.ndarray, nbits: int) -> np.ndarray:
@@ -145,8 +143,13 @@ def sec_cmp(eng, x, y, mode: str):
     """Signed fixed-point comparison; returns a shared 0/1 indicator.
 
     Range contract: |decode| < 2^(62-F) on both sides so x - y cannot
-    wrap. LT/GT/GTE all cost one comparison (counted under "gt").
+    wrap; the plaintext engine raises ``RangeContractError`` when it is
+    broken. LT/GT/GTE all cost one comparison (counted under "gt").
     """
+    if eng.is_plain and (_outside_width(x.raw, 62).any()
+                         or _outside_width(y.raw, 62).any()):
+        raise RangeContractError(
+            f"sec_cmp: an input has magnitude >= 2^{62 - F}")
     if mode == "LT":
         d = eng.sub(x, y)
     elif mode == "GT":
@@ -202,19 +205,10 @@ def _horner(eng, x, coeffs, frac_bits: int):
 def _value_bits(eng, x, positions):
     """Shared bits of the word x at bit ``positions``, stacked on a new
     leading axis in that order; exact for any word."""
-    positions = list(positions)
+    positions = tuple(positions)
     if eng.is_plain:
         return PlainVec(_pub_bits(x.raw, positions))
-    m, rbits = eng.masked_open(x)
-    # x = m - R: bit j = m_j XOR r_j XOR borrow into bit j, all bits at once
-    borrows = eng.borrow_taps(m, rbits, positions)
-    t = _xor_pub(eng, eng.index(rbits, positions), _pub_bits(m, positions))
-    return _xor_shared(eng, t, borrows)
-
-
-def _or_combine(eng, hi, lo):
-    """a OR b = a + b - ab for shared bits (one round)."""
-    return eng.sub(eng.add(hi, lo), eng._mul_raw(hi, lo))
+    return eng.value_bits(x, positions)
 
 
 def _msb_onehot(eng, x, nbits: int):
@@ -222,15 +216,16 @@ def _msb_onehot(eng, x, nbits: int):
 
     Contract: the bits of x at nbits and above are zero. All-zero input
     yields the all-zero vector (callers exploit this for the x = 0 edge
-    case). The suffix ORs s_j = OR of bits j..nbits-1 are
-    prefixes of the reversed bits, so one log-depth scan yields both s_j
-    and s_{j+1}; the one-hot is their difference.
+    case). The plaintext engine computes it directly: the suffix ORs
+    s_j = OR of bits j..nbits-1 by shifted ORs, then s ^ (s >> 1); the
+    protocol runs the same scan on packed shares (``msb_onehot``).
     """
-    bits = _value_bits(eng, x, range(nbits))
-    rev = eng.reshape(eng.index(bits, slice(None, None, -1)), (1, nbits) + x.shape)
-    taps = list(range(nbits, 0, -1)) + list(range(nbits - 1, -1, -1))
-    ors = prefix_scan(eng, rev, _or_combine, taps)
-    return eng.sub(eng.index(ors, slice(0, nbits)), eng.index(ors, slice(nbits, 2 * nbits)))
+    if eng.is_plain:
+        s = x.raw & np.uint64((1 << nbits) - 1)
+        for k in range(6):
+            s = s | (s >> np.uint64(1 << k))
+        return PlainVec(_pub_bits(s ^ (s >> np.uint64(1)), range(nbits)))
+    return eng.msb_onehot(x, nbits)
 
 
 def sec_exp(eng, x):

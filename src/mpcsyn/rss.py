@@ -11,9 +11,19 @@ multiplication, 0 for linear work).
 
 Everything is vectorized: local operations are single numpy calls on the
 whole share array, protocols batch elementwise, and message sizes are 8
-bytes per element. Comparison and truncation recover their borrow bits
-with a log-depth parallel-prefix network (``prefix_scan``), so a 64-bit
-borrow costs 6 rounds instead of 64.
+bytes per element.
+
+Bit-level work runs on packed XOR shares (the mixed arithmetic/binary
+sharing of ABY3): the same (3, 2, *shape) layout, read as x = c0 ^ c1 ^ c2,
+64 shared bits per word. A masked opening's mask r exists in both forms
+for free (edaBits): the pairwise stream words that give its arithmetic
+bits are its packed XOR shares. Truncation, bit decomposition and
+most-significant-bit one-hots run a Kogge-Stone borrow scan on those
+words (a suffix-OR scan follows for the one-hot), one AND round per
+level, so a 64-bit borrow costs 6 rounds. daBits, random bits shared both
+ways and drawn with the mask bits, turn the wanted bits arithmetic: the
+last level's AND is opened together with the daBit as bit ^ daBit, in
+the same round.
 
 Ring arithmetic wraps mod 2^64 without any error-state handling: every
 ring op is a ufunc call or an operator on an array of at least one
@@ -126,12 +136,18 @@ class Transcript:
     def log_message(self, scope: str, sender: int, receiver: int, nbytes: int) -> None:
         self.msg_count += 1
         self.byte_count += nbytes
-        entry = self.channels.setdefault((sender, receiver), {"messages": 0, "bytes": 0})
+        # get before insert: setdefault would build a default dict per call
+        key = (sender, receiver)
+        entry = self.channels.get(key)
+        if entry is None:
+            entry = self.channels[key] = {"messages": 0, "bytes": 0}
         entry["messages"] += 1
         entry["bytes"] += nbytes
-        sc = self.scopes.setdefault(scope, {"messages": 0, "bytes": 0})
-        sc["messages"] += 1
-        sc["bytes"] += nbytes
+        entry = self.scopes.get(scope)
+        if entry is None:
+            entry = self.scopes[scope] = {"messages": 0, "bytes": 0}
+        entry["messages"] += 1
+        entry["bytes"] += nbytes
         if self.records is not None:
             self.records.append((self.rounds, scope, sender, receiver, nbytes))
 
@@ -190,6 +206,27 @@ class PlainVec:
     @property
     def size(self) -> int:
         return int(self.raw.size)
+
+
+@dataclass(frozen=True)
+class Mask:
+    """The mask r of a masked opening, shared two ways, and its daBits.
+
+    ``bits`` holds r's low ``nbits`` bits as arithmetic shares, stacked on
+    a new leading axis. A mask drawn with daBits also holds ``word``, the
+    same bits packed 64 to a word, one word per element, in the ShareVec
+    layout read as XOR shares (x = c0 ^ c1 ^ c2): the pairwise stream
+    words are its components, so it costs nothing (the edaBits
+    construction). A daBit is a random bit shared both ways: row i of
+    ``dabits`` is an arithmetic share of bit ``dabit_pos[i]`` of the
+    packed ``dabit_word``. A daBit masks one opened bit and is used once.
+    """
+
+    bits: ShareVec
+    dabit_pos: tuple[int, ...] = ()
+    dabits: ShareVec | None = None
+    word: ShareVec | None = None
+    dabit_word: ShareVec | None = None
 
 
 class _EngineBase:
@@ -425,6 +462,22 @@ def _add_public(data: np.ndarray, raws) -> None:
     data[2, 1, ...] += raws
 
 
+def _xor_public(data: np.ndarray, word) -> np.ndarray:
+    """A packed word XOR a public word, under the same convention (local)."""
+    out = data.copy()
+    out[0, 0, ...] ^= word
+    out[2, 1, ...] ^= word
+    return out
+
+
+_PAIR_ROWS = np.array([0, 1, 1, 2, 2, 0])
+
+
+def _pair(w: np.ndarray) -> np.ndarray:
+    """Share array of party terms w passed left: party i holds (w_i, w_{i+1})."""
+    return w.take(_PAIR_ROWS, axis=0).reshape((3, 2) + w.shape[1:])
+
+
 def _disagreeing(data: np.ndarray, comps) -> int | None:
     """First component among ``comps`` whose two replicated copies differ.
 
@@ -444,6 +497,21 @@ def _high_weights(g: int) -> np.ndarray:
     w[g:] = _BIT_WEIGHTS[: 64 - g]
     w.flags.writeable = False  # cached: shared by every caller
     return w
+
+
+@functools.lru_cache(maxsize=None)
+def _opening_plan(positions: tuple[int, ...], dabit_pos: tuple[int, ...]):
+    """For opening the bits at ``positions`` against daBits drawn at
+    ``dabit_pos``: the word that keeps those bits, the positions as shift
+    amounts, and the daBit row of each position."""
+    missing = sorted(set(positions) - set(dabit_pos))
+    if missing:
+        raise ValueError(f"mask has no daBits at positions {missing}")
+    keep = np.uint64(sum(1 << p for p in set(positions)))
+    pos = np.array(positions, dtype=U64)
+    rows = np.array([dabit_pos.index(p) for p in positions], dtype=np.intp)
+    pos.flags.writeable = rows.flags.writeable = False  # cached: shared by every caller
+    return keep, pos, rows
 
 
 class Mpc3Engine(_EngineBase):
@@ -561,14 +629,18 @@ class Mpc3Engine(_EngineBase):
             w[i, ...] += draw
             w[(i + 1) % 3, ...] -= draw
 
-    def _reshare(self, w: np.ndarray) -> None:
-        """Second half of a multiplication, given each party's local product
-        term w[i]: mask it with a fresh sharing of zero (in place), then
-        party i sends it to party i-1 (one round, 3 messages)."""
-        self._add_zero_share(w)
+    def _pass_left(self, w: np.ndarray) -> None:
+        """Party i sends its term w[i] to party i-1 (one round, 3 messages)."""
         self.transcript.next_round()
         for i in range(3):
             self._send((i + 1) % 3, i, w[(i + 1) % 3])
+
+    def _reshare(self, w: np.ndarray) -> None:
+        """Second half of a multiplication, given each party's local product
+        term w[i]: mask it with a fresh sharing of zero (in place), then
+        pass it left."""
+        self._add_zero_share(w)
+        self._pass_left(w)
 
     def _mul_impl(self, x: ShareVec, y: ShareVec) -> ShareVec:
         a, b = _aligned(x.data, y.data)
@@ -599,23 +671,39 @@ class Mpc3Engine(_EngineBase):
             base.data[:, :, rslice, cols] = vec.data
         return base
 
-    def mask_bits(self, shape, nbits: int = 64) -> ShareVec:
-        """``nbits`` uniform shared bits per element of ``shape``, stacked on
-        a new leading axis (mask purpose streams).
+    def mask_bits(self, shape, nbits: int = 64, dabits=()) -> Mask:
+        """``nbits`` uniform shared mask bits per element of ``shape`` and
+        daBits at the bit positions ``dabits`` (mask purpose streams).
 
-        Each pairwise stream draws one raw 64-bit word per element; the
-        word's low ``nbits`` bits are that element's bits from the stream.
-        Cost: ``nbits`` ``mask_bit`` per element and two resharings of the
-        (nbits, *shape) bits (2 rounds, 6 messages).
+        Each pairwise stream draws one raw 64-bit word per element, and a
+        second one when daBits are asked for. The first word's low
+        ``nbits`` bits are the element's mask bits from that stream, the
+        second word's bits at ``dabits`` its daBits; with daBits, the raw
+        words are also kept as the packed XOR shares. One ``_xor3`` call
+        makes all of these bits arithmetic. Cost: ``nbits`` ``mask_bit`` and len(dabits) ``dabit``
+        per element, and two resharings of the (nbits + len(dabits),
+        *shape) bits (2 rounds, 6 messages).
         """
         check_width(nbits)
         shape = _as_shape(shape)
-        n = int(np.prod(shape, dtype=np.int64))
+        dabits = tuple(int(p) for p in dabits)
+        if len(set(dabits)) < len(dabits) or any(not 0 <= p < 64 for p in dabits):
+            raise ValueError("daBit positions must be distinct and in [0, 64)")
+        n, k = math.prod(shape), len(dabits)
         self.count("mask_bit", nbits * n)
-        pos = _BIT_POS[:nbits].reshape((nbits,) + (1,) * len(shape))
-        draws = [(g.bit_generator.random_raw(n).reshape(shape) >> pos) & np.uint64(1)
-                 for g in self._mask_streams]
-        return self._xor3(*draws)
+        if k:
+            self.count("dabit", k * n)
+        pos = np.concatenate([_BIT_POS[:nbits], np.array(dabits, dtype=U64)])
+        pos = pos.reshape((nbits + k,) + (1,) * len(shape))
+        word_of_row = np.repeat([0, 1], [nbits, k]) if k else 0
+        raw = [g.bit_generator.random_raw((1 + (k > 0),) + shape) for g in self._mask_streams]
+        bits = self._xor3(*((w[word_of_row] >> pos) & np.uint64(1) for w in raw)).data
+        if not k:
+            return Mask(ShareVec(bits))
+        # stream p is known to pair {p, p+1}: their common component p+1
+        words = self._from_components(raw[2], raw[0], raw[1]).data
+        return Mask(ShareVec(bits[:, :, :nbits]), dabits, ShareVec(bits[:, :, nbits:]),
+                    ShareVec(words[:, :, 0]), ShareVec(words[:, :, 1]))
 
     def _xor3(self, b0, b1, b2) -> ShareVec:
         """Shared b0 XOR b1 XOR b2 as two shared XORs x + y - 2xy.
@@ -643,9 +731,9 @@ class Mpc3Engine(_EngineBase):
         t[0, ...] += b2
         return self._from_components(*t)
 
-    def masked_open(self, x: ShareVec, nbits: int = 64) -> tuple[np.ndarray, ShareVec]:
+    def masked_open(self, x: ShareVec, nbits: int = 64, dabits=()) -> tuple[np.ndarray, Mask]:
         """Open x + r for a fresh mask r of width ``nbits``; returns
-        (public, bits).
+        (public, mask), with daBits at the bit positions ``dabits``.
 
         r = sum_{j < nbits} 2^j bits[j] + 2^nbits R: the low ``nbits`` bits
         are shared bits (``mask_bits``) and R is a ring element whose three
@@ -654,10 +742,11 @@ class Mpc3Engine(_EngineBase):
         it reveals nothing, and its low ``nbits`` bits equal
         (x + sum 2^j bits[j]) mod 2^nbits; the caller extracts what it
         needs from those and the shared bits. Cost: ``nbits`` mask bits
-        per element, their two resharings and one opening (3 rounds).
+        and len(dabits) daBits per element, their two resharings and one
+        opening (3 rounds).
         """
-        bits = self.mask_bits(x.shape, nbits)
-        r = self.bit_sum(bits, _BIT_WEIGHTS[:nbits])
+        mask = self.mask_bits(x.shape, nbits, dabits)
+        r = self.bit_sum(mask.bits, _BIT_WEIGHTS[:nbits])
         if nbits < 64:
             n = int(np.prod(x.shape, dtype=np.int64))
             high = [g.bit_generator.random_raw(n).reshape(x.shape) << np.uint64(nbits)
@@ -665,21 +754,158 @@ class Mpc3Engine(_EngineBase):
             # stream p is known to pair {p, p+1}: their common component p+1
             r = self.add(r, self._from_components(high[2], high[0], high[1]))
         m = self.open(self.add(x, r))
-        return m, bits
+        return m, mask
 
-    def borrow_taps(self, m: np.ndarray, bits: ShareVec, taps) -> ShareVec:
-        """Borrows of (public m) - (shared r), r = sum_j 2^j bits[j].
+    # -- packed XOR shares ---------------------------------------------------------
+    #
+    # A packed word shares 64 bits at once: the (3, 2, *shape) array of a
+    # share, read as XOR shares. XOR, shifts and AND with a public word are
+    # local; AND costs one round. A word still owed its last resharing is
+    # a pair (y, z): a packed word y and party terms z, (3, *shape) or None,
+    # that XOR to the value.
+
+    def _and_terms(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Party i's term x_i y_i ^ x_i y_{i+1} ^ x_{i+1} y_i of the packed
+        x AND y, masked with a fresh XOR sharing of zero (no messages)."""
+        y0 = y[:, 0]
+        w = (y0 ^ y[:, 1]) & x[:, 0]
+        w ^= x[:, 1] & y0
+        # party i's share of zero: PRF(pair {i,i+1}) ^ PRF(pair {i-1,i})
+        d0, d1, d2 = (g.bit_generator.random_raw(w.shape[1:]) for g in self._zero_streams)
+        w[0] ^= d0 ^ d2
+        w[1] ^= d1 ^ d0
+        w[2] ^= d2 ^ d1
+        return w
+
+    def _and(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Packed x AND y (one round, 3 messages)."""
+        w = self._and_terms(x, y)
+        self._pass_left(w)
+        return _pair(w)
+
+    def _borrow_word(self, m: np.ndarray, word: ShareVec, depth: int):
+        """Borrows of (public m) - (packed r) by a Kogge-Stone scan, as a
+        pair (y, z) whose bit j is the borrow out of bit j, exact for
+        j < 2^depth; ``depth`` rounds, the last one left to the caller.
+
+        The generate g = ~m & r and propagate p = ~(m ^ r) of every bit
+        are local. Level k merges each bit's span with the one 2^k below:
+        g ^= p & (g << 2^k) (g and p of a span are never both 1, so the OR
+        is an XOR) and p &= p << 2^k, both in one AND.
+        """
+        notm = ~np.asarray(m, dtype=U64)
+        gp = np.stack([word.data & notm, _xor_public(word.data, notm)], axis=2)
+        for k in range(depth):
+            shifted = gp << np.uint64(1 << k)
+            if k == depth - 1:
+                return gp[:, :, 0], self._and_terms(gp[:, :, 1], shifted[:, :, 0])
+            merged = self._and(gp[:, :, 1:], shifted)
+            merged[:, :, 0] ^= gp[:, :, 0]
+            gp = merged
+        return gp[:, :, 0], None
+
+    def _value_word(self, m: np.ndarray, mask: Mask, top: int):
+        """x = m - r as a pair (y, z), exact at bits 0..top: bit j is
+        m_j ^ r_j ^ (borrow out of bit j - 1)."""
+        g, z = self._borrow_word(m, mask.word, (max(top, 1) - 1).bit_length())
+        y = _xor_public(mask.word.data ^ (g << np.uint64(1)), m)
+        return y, None if z is None else z << np.uint64(1)
+
+    def _open_bits(self, y: np.ndarray, z, mask: Mask, positions) -> ShareVec:
+        """Arithmetic shares of the bits at ``positions`` of the pair (y, z),
+        stacked on a new leading axis, in one round.
+
+        Each party XORs its component of y, its term of z and its
+        component of the daBit word, keeps the bits at ``positions`` and
+        sends that word to both other parties (6 messages). All learn
+        c = bit ^ daBit, which is uniform, and bit = c + (1 - 2c) daBit is
+        local. ``mask`` needs a daBit at every position.
+        """
+        keep, pos, rows = _opening_plan(tuple(positions), mask.dabit_pos)
+        u = y[:, 0] ^ mask.dabit_word.data[:, 0]
+        if z is not None:
+            u ^= z
+        u &= keep
+        self.transcript.next_round()
+        for p in range(3):
+            self._send((p + 1) % 3, p, u[(p + 1) % 3])
+            self._send((p + 2) % 3, p, u[(p + 2) % 3])
+        c = ((u[0] ^ u[1] ^ u[2]) >> _lift(pos, 1, u.ndim - 1)) & np.uint64(1)
+        out = mask.dabits.data[:, :, rows] * (np.uint64(1) - c - c)
+        _add_public(out, c)
+        return ShareVec(out)
+
+    def borrow_taps(self, m: np.ndarray, mask: Mask, taps) -> ShareVec:
+        """Borrows of (public m) - (shared r) for the mask r of
+        ``masked_open``.
 
         Row i of the result is the shared borrow *into* bit taps[i], so tap
-        64 is the overall borrow [m < r] and tap 0 is 0. With m public, the
-        generate bit g_j = (1 - m_j) r_j and the propagate bit
-        p_j = XNOR(m_j, r_j) = (1 - m_j) + (2 m_j - 1) r_j of every position
-        are local, and ``prefix_scan`` merges them in ceil(log2 max(taps))
-        rounds. The message pattern depends on the taps and the shape,
-        never on the data.
+        64 is the overall borrow [m < r] and tap 0 is 0. The borrow into
+        bit t is bit t - 1 of the packed borrow word (``_borrow_word``):
+        ceil(log2 max(taps)) rounds, the last one fused with the opening
+        that makes the tapped bits arithmetic, so ``mask`` needs a daBit at
+        t - 1 for every tap t > 0. Taps 0 and 1 alone cost no round: the
+        borrow into bit 1 is (1 - m_0) r_0, local on the arithmetic mask
+        bits. The message pattern depends on the taps and the shape, never
+        on the data.
         """
         taps = tuple(int(t) for t in taps)
-        return prefix_scan(self, _borrow_leaves(m, bits, max(taps)), _borrow_combine, taps)
+        if any(not 0 <= t <= 64 for t in taps):
+            raise ValueError("tap outside the scanned positions")
+        depth = (max(max(taps), 1) - 1).bit_length()
+        lit = [i for i, t in enumerate(taps) if t]
+        if depth == 0:
+            rows = mask.bits.data[:, :, :1] * (np.uint64(1) - (m & np.uint64(1)))
+        else:
+            y, z = self._borrow_word(m, mask.word, depth)
+            rows = self._open_bits(y, z, mask, [taps[i] - 1 for i in lit]).data
+            if len(lit) == len(taps):
+                return ShareVec(rows)
+        out = np.zeros((3, 2, len(taps)) + np.shape(m), dtype=U64)
+        out[:, :, lit] = rows
+        return ShareVec(out)
+
+    def value_bits(self, x: ShareVec, positions) -> ShareVec:
+        """Shared bits of the word x at bit ``positions``, stacked on a new
+        leading axis in that order; exact for any word.
+
+        x = m - r for a masked opening, so its packed bits come from the
+        borrow word (``_value_word``) and one fused opening makes them
+        arithmetic: 3 + ceil(log2 max(positions)) rounds (at least 4).
+        """
+        positions = tuple(int(p) for p in positions)
+        m, mask = self.masked_open(x, dabits=positions)
+        y, z = self._value_word(m, mask, max(positions))
+        return self._open_bits(y, z, mask, positions)
+
+    def msb_onehot(self, x: ShareVec, nbits: int) -> ShareVec:
+        """One-hot of the most significant set bit among bits 0..nbits-1
+        of x (all zeros when there is none), for 1 <= nbits < 64.
+
+        The packed value word's low ``nbits`` bits are reshared, then a
+        suffix-OR scan s |= s >> 2^k, each OR an AND by De Morgan,
+        runs ceil(log2 nbits) rounds; bit j of s ^ (s >> 1) is the
+        one-hot, and the last AND is fused with its opening. Rounds:
+        3 + ceil(log2 (nbits - 1)) + ceil(log2 nbits) for nbits >= 2.
+        """
+        positions = tuple(range(nbits))
+        m, mask = self.masked_open(x, dabits=positions)
+        y, z = self._value_word(m, mask, nbits - 1)
+        if z is not None:
+            self._pass_left(z)
+            y = y ^ _pair(z)
+        s, z = y & as_word((1 << nbits) - 1), None
+        ones = np.uint64(MASK64)
+        levels = (nbits - 1).bit_length()
+        for k in range(levels):
+            a = _xor_public(s, ones)
+            b = _xor_public(s >> np.uint64(1 << k), ones)
+            if k < levels - 1:
+                s = _xor_public(self._and(a, b), ones)
+            else:  # s = ~(a AND b) = ones ^ terms
+                s, z = _xor_public(np.zeros_like(s), ones), self._and_terms(a, b)
+        y = s ^ (s >> np.uint64(1))
+        return self._open_bits(y, None if z is None else z ^ (z >> np.uint64(1)), mask, positions)
 
     def trunc(self, x: ShareVec, g: int = F) -> ShareVec:
         """Exact arithmetic right shift by g bits of the shared 64-bit value.
@@ -688,128 +914,21 @@ class Mpc3Engine(_EngineBase):
         identity X >> g = (C >> g) - (R >> g) - carry_g + 2^(64-g) * ov
         holds for C = X + R (mod 2^64), carry_g = [C mod 2^g < R mod 2^g],
         ov = [C < R]; both indicator bits come from one borrow network
-        (taps g and 64).
+        (taps g and 64, with their daBits): 3 + 6 rounds.
         """
         if not 0 < g < 64:
             raise ValueError("shift amount out of range")
         self.count("trunc", x.size)
         biased = self.add_const(x, np.uint64(HALF))
-        c_pub, bits = self.masked_open(biased)
-        borrows = self.borrow_taps(c_pub, bits, (g, 64)).data
+        c_pub, mask = self.masked_open(biased, dabits=(g - 1, 63))
+        borrows = self.borrow_taps(c_pub, mask, (g, 64)).data
         carry, ov = borrows[:, :, 0], borrows[:, :, 1]
-        r_high = self.bit_sum(bits, _high_weights(g)).data
+        r_high = self.bit_sum(mask.bits, _high_weights(g)).data
         unbias = np.uint64((1 << (63 - g)) & MASK64)
         pub = np.subtract(c_pub >> np.uint64(g), unbias)
         y = ov * (np.uint64(1) << np.uint64(64 - g)) - r_high - carry
         _add_public(y, pub)
         return ShareVec(y)
-
-
-def _borrow_leaves(m: np.ndarray, bits: ShareVec, n: int) -> ShareVec:
-    """(G, P) of bit positions 0..n-1 of (public m) - (shared r), stacked."""
-    pos = np.arange(n, dtype=U64).reshape((n,) + (1,) * m.ndim)
-    m_bits = (m >> pos) & np.uint64(1)
-    keep = np.uint64(1) - m_bits
-    coef = np.stack([keep, m_bits + m_bits - np.uint64(1)])
-    leaves = bits.data[:, :, np.newaxis, :n] * coef
-    _add_public(leaves[:, :, 1], keep)
-    return ShareVec(leaves)
-
-
-def _borrow_combine(eng: Mpc3Engine, hi: ShareVec, lo: ShareVec) -> ShareVec:
-    """(G, P)_hi o (G, P)_lo = (G_hi + P_hi G_lo, P_hi P_lo).
-
-    G and P of a span are never both 1, so the OR in the borrow rule is a
-    sum. Both products share one multiplication: one level, one round.
-    """
-    merged = eng._mul_raw(eng.index(hi, slice(1, 2)), lo)
-    merged.data[:, :, 0] += hi.data[:, :, 0]
-    return merged
-
-
-@functools.lru_cache(maxsize=None)
-def _scan_plan(n: int, taps: tuple[int, ...]):
-    """Schedule of ``prefix_scan`` over n leaves for the given taps.
-
-    Table rows 0..n-1 are the leaves and row n the empty prefix. A span
-    [a, b) of two or more positions splits at a plus the largest power of
-    two below b - a, so its low part is an aligned block that every tap
-    covering it shares, and its depth is ceil(log2(b - a)). Returns one
-    (hi_rows, lo_rows) pair per depth, whose merges are appended to the
-    table in that order, and the table row of each tap's prefix [0, t).
-    """
-    if any(not 0 <= t <= n for t in taps):
-        raise ValueError("tap outside the scanned positions")
-    row = {(j, j + 1): j for j in range(n)}
-    row[(0, 0)] = n
-    split: dict[tuple[int, int], int] = {}
-
-    def need(a: int, b: int) -> None:
-        if b - a > 1 and (a, b) not in split:
-            s = a + (1 << ((b - a - 1).bit_length() - 1))
-            split[(a, b)] = s
-            need(a, s)
-            need(s, b)
-
-    for t in taps:
-        need(0, t)
-    depths = sorted({(b - a - 1).bit_length() for a, b in split})
-    def frozen(rows: list[int]) -> np.ndarray:  # cached: shared by every caller
-        arr = np.array(rows, dtype=np.intp)
-        arr.flags.writeable = False
-        return arr
-
-    rounds = []
-    for d in depths:
-        spans = [(a, s, b) for (a, b), s in split.items() if (b - a - 1).bit_length() == d]
-        hi = frozen([row[(s, b)] for a, s, b in spans])
-        lo = frozen([row[(a, s)] for a, s, b in spans])
-        for a, _, b in spans:
-            row[(a, b)] = len(row)
-        rounds.append((hi, lo))
-    return tuple(rounds), frozen([row[(0, t)] for t in taps])
-
-
-def prefix_scan(eng, leaves, combine, taps):
-    """Prefixes of an associative operator over shared leaves, in log depth.
-
-    ``leaves`` has shape (c, n, *shape): n positions, each a c-component
-    element. ``combine(eng, hi, lo)`` merges stacked elements of adjacent
-    spans (``hi`` covering the higher positions) in one interactive round.
-    Returns component 0 of the prefix over positions [0, t) for each t in
-    ``taps``, stacked in tap order; the empty prefix (t = 0) is 0, the
-    identity's component 0 for both operators used here (borrow and OR).
-    The network is a divide-and-conquer (Sklansky-style) prefix network
-    pruned to the requested taps; each of its depths is a single batched
-    ``combine``, so the whole scan costs ceil(log2 max(taps)) rounds.
-    """
-    c, n = leaves.shape[:2]
-    rounds, out_rows = _scan_plan(n, tuple(taps))
-    lead = eng._lead
-    rows = n + 1 + sum(len(hi) for hi, _ in rounds)
-
-    # one table, allocated once, holds the leaves, the empty prefix (a zero
-    # row) and every merged span; each round fills its rows in place, as a
-    # table grown by concatenation would be copied once per round
-    def allocate(a):
-        t = np.zeros(a.shape[: lead + 1] + (rows,) + a.shape[lead + 2 :], dtype=U64)
-        t[(slice(None),) * (lead + 1) + (slice(0, n),)] = a
-        return t
-
-    table = eng._layout(allocate, leaves)
-    del leaves  # copied into the table; a caller's temporary can go now
-    row = n + 1
-    for hi, lo in rounds:
-        merged = combine(eng, eng.index(table, (slice(None), hi)), eng.index(table, (slice(None), lo)))
-        key = (slice(None),) * (lead + 1) + (slice(row, row + len(hi)),)
-
-        def fill(t, m, key=key):
-            t[key] = m
-            return t
-
-        table = eng._layout(fill, table, merged)
-        row += len(hi)
-    return eng.index(table, (0, out_rows))
 
 
 class PlainEngine(_EngineBase):

@@ -150,6 +150,19 @@ def test_workload_index_outside_schema_exits_one(tmp_path, capsys, command, inde
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("attr", ["1.7", "true"])
+def test_workload_non_integer_index_exits_one(tmp_path, capsys, attr):
+    wl_path = tmp_path / "wl.json"
+    wl_path.write_text(f"[[{attr}]]")
+    code = cli.main(["metrics", "--real", TOY_CSV, "--synth", TOY_CSV,
+                     "--domain", TOY_DOMAIN, "--workload", str(wl_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert f"attribute {attr} in workload is neither a name nor an integer index" in captured.err
+    assert captured.out == ""
+
+
 def test_metrics_subcommand(tmp_path, capsys):
     # identical datasets score zero; stdout when --out is omitted
     code = cli.main(["metrics", "--real", TOY_CSV, "--synth", TOY_CSV,

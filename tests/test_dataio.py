@@ -215,6 +215,16 @@ def test_load_workload_rejects_index_outside_schema(tmp_path, index):
         load_workload(p, schema)
 
 
+@pytest.mark.parametrize("attr", [1.7, 1.0, True, False, None, [1]])
+def test_load_workload_rejects_non_integer_index(tmp_path, attr):
+    # only JSON integers index attributes; int(1.7) or int(true) would
+    # silently score attribute 1
+    schema = Schema((AttrDomain("age", 3), AttrDomain("sex", 2)))
+    p = write(tmp_path, "w.json", json.dumps([[0, attr]]))
+    with pytest.raises(IngestionError, match="neither a name nor an integer index"):
+        load_workload(p, schema)
+
+
 def test_workload_error_identity_and_disjoint():
     ds = _random_dataset(50, [2, 2], 7)
     wl = build_workload(ds.schema)

@@ -124,6 +124,26 @@ def test_sec_cmp_pinned(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_sec_cmp_range_contract_edge(backend):
+    # |decode| < 2^30 on both sides: the largest magnitudes inside compare
+    # correctly on both engines, and the plaintext oracle rejects 2^30
+    # (2^30 - 2^-32 has no float64 encoding, so the words are built as ints)
+    eng = make_engine(backend, seed=69)
+    edge = (1 << 62) - 1  # raw word of 2^30 - 2^-32
+    x = eng.share(fixed.as_word(np.array([edge, -edge, 0, edge])))
+    y = eng.share(fixed.as_word(np.array([-edge, edge, edge, edge])))
+    assert np.array_equal(eng.reconstruct(prim.sec_cmp(eng, x, y, "LT")), [0, 1, 1, 0])
+    assert np.array_equal(eng.reconstruct(prim.sec_cmp(eng, x, y, "GT")), [1, 0, 0, 0])
+    assert np.array_equal(eng.reconstruct(prim.sec_cmp(eng, x, y, "GTE")), [1, 0, 0, 1])
+    if backend == "cdp":
+        for bad in (1 << 62, -(1 << 62)):  # 2^30 and -2^30
+            for a, b in ((bad, 0), (0, bad)):
+                with pytest.raises(RangeContractError):
+                    prim.sec_cmp(eng, eng.share(fixed.as_word(np.array([1, a]))),
+                                 eng.share(fixed.as_word(np.array([1, b]))), "GT")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_sec_cmp_random_pairs_match_plaintext(backend):
     eng = make_engine(backend, seed=44)
     rng = np.random.default_rng(44)
@@ -362,6 +382,8 @@ def test_value_bits_and_msb_onehot_match_plaintext(backend, nbits):
     vals = rng.integers(0, 1 << nbits, size=(4, 6), dtype=np.uint64)
     vals[0, :3] = [0, 1, (1 << nbits) - 1]
     vals[1] >>= rng.integers(0, nbits, size=6).astype(np.uint64)  # spread the msb
+    # long zero runs below the msb: the suffix-OR must span all nbits
+    vals[2, :3] = [1 << (nbits - 1), (1 << (nbits - 1)) | 1, 1 << 32]
     x = eng.share(vals)
     bits = eng.reconstruct(prim._value_bits(eng, x, range(nbits)))
     want_bits = (vals >> np.arange(nbits, dtype=np.uint64).reshape(-1, 1, 1)) & np.uint64(1)
@@ -375,24 +397,27 @@ def test_value_bits_and_msb_onehot_match_plaintext(backend, nbits):
 
 
 def test_msb_onehot_round_count_log_depth():
-    # value bits: mask (2) + opening (1) + borrow network (6) + xor (1);
-    # suffix-OR scan ceil(log2 nbits) = 6 instead of nbits - 1
+    # packed value bits: mask (2) + opening (1) + borrow network
+    # (ceil(log2 (nbits - 1)) = 6, its last AND reshared); suffix-OR scan
+    # ceil(log2 nbits) = 6 instead of nbits - 1, its last AND fused with
+    # the opening that makes the one-hot arithmetic
     for nbits in (34, 39):
         eng = Mpc3Engine(seed=63)
         x = eng.share(np.arange(5, dtype=np.uint64))
         before = eng.transcript.rounds
         prim._msb_onehot(eng, x, nbits)
-        assert eng.transcript.rounds - before == 2 + 1 + 6 + 1 + 6, nbits
+        assert eng.transcript.rounds - before == 2 + 1 + 6 + 6, nbits
 
 
 def test_sec_cmp_round_count_closed_form():
-    # mask (2) + opening (1) + borrow into bit 63 (ceil(log2 63) = 6) + xor (1)
+    # mask (2) + opening (1) + borrow into bit 63 (ceil(log2 63) = 6), the
+    # last level fused with the opening of m_63 ^ r_63 ^ borrow ^ daBit
     eng = Mpc3Engine(seed=64)
     x = eng.share(fixed.encode(np.linspace(-2, 2, 9)))
     y = eng.share(fixed.encode(np.zeros(9)))
     before = eng.transcript.rounds
     prim.sec_cmp(eng, x, y, "LT")
-    assert eng.transcript.rounds - before == 2 + 1 + 6 + 1
+    assert eng.transcript.rounds - before == 2 + 1 + 6
 
 
 def test_log_depth_networks_records_data_independent():
@@ -411,12 +436,18 @@ def test_log_depth_networks_records_data_independent():
     assert recs_a == recs_b
 
 
-def _sign_bit_reference(eng, d):
-    """The sign bit by its own borrow network: tap 63 alone, no stacking."""
-    m, bits = eng.masked_open(d)
-    borrow = eng.index(eng.borrow_taps(m, bits, [63]), 0)
-    t = prim._xor_pub(eng, eng.index(bits, 63), (m >> np.uint64(63)) & np.uint64(1))
-    return prim._xor_shared(eng, t, borrow)
+def _sign_network_records(n: int) -> list[tuple[int, int, int, int]]:
+    """(round, sender, receiver, bytes) of a lone sign network on n
+    elements, rounds counted from 1: two resharings of the 64 mask bits
+    and one daBit, one opening, five two-word AND levels of the borrow
+    scan into bit 63, then the sixth level's AND fused with the opening of
+    bit 63 (one word to each other party)."""
+    reshare = [(2, 1), (3, 2), (1, 3)]
+    opening = [(2, 1), (3, 1), (3, 2), (1, 2), (1, 3), (2, 3)]
+    recs = [(r, s, t, 8 * 65 * n) for r in (1, 2) for s, t in reshare]
+    recs += [(3, s, t, 8 * n) for s, t in opening]
+    recs += [(r, s, t, 16 * n) for r in range(4, 9) for s, t in reshare]
+    return recs + [(9, s, t, 8 * n) for s, t in opening]
 
 
 _SIGN_VALUES = np.array([0, -1, 1 << 30, -(1 << 30)], dtype=np.int64)
@@ -436,15 +467,59 @@ def test_value_bits_at_63_is_the_sign_bit(backend, shape):
 
 
 def test_value_bits_at_63_messages_match_a_lone_sign_network():
-    # same mask draws, borrow taps, message sizes and order, and share words
-    outs = []
-    for sign in (lambda e, d: e.index(prim._value_bits(e, d, (63,)), 0),
-                 _sign_bit_reference):
+    # the sign bit costs what a network for bit 63 alone costs: one daBit,
+    # a borrow scan of depth 6 and no round for the XOR with m_63 ^ r_63
+    for shape in ((4,), (2, 2)):
         eng = Mpc3Engine(seed=68, record_messages=True)
-        d = eng.share(_SIGN_VALUES.astype(np.uint64))
-        outs.append((sign(eng, d).data, eng.transcript.records,
-                     eng.transcript.summary()))
-    (data_a, recs_a, sum_a), (data_b, recs_b, sum_b) = outs
-    assert np.array_equal(data_a, data_b)
-    assert recs_a == recs_b
-    assert sum_a == sum_b
+        d = eng.share(_SIGN_VALUES.astype(np.uint64).reshape(shape))
+        start, skip = eng.transcript.rounds, len(eng.transcript.records)
+        prim._value_bits(eng, d, (63,))
+        got = [(r - start, s, t, b) for r, _, s, t, b in eng.transcript.records[skip:]]
+        assert got == _sign_network_records(4), shape
+        assert eng.transcript.counters["dabit"] == 4
+
+
+def test_packed_networks_records_data_independent():
+    # zeros, ties, the ends of the ln and sqrt domains and random values:
+    # byte-identical records for truncation, comparison, ln and sqrt
+    def run(vals):
+        eng = Mpc3Engine(seed=70, record_messages=True)
+        x = eng.share(fixed.encode(vals))
+        eng.trunc(x, 16)
+        prim.sec_cmp(eng, x, eng.share(fixed.encode(vals[::-1].copy())), "LT")
+        prim.sec_ln(eng, x)
+        prim.sec_sqrt(eng, x)
+        return eng.transcript.records
+
+    rng = np.random.default_rng(70)
+    runs = [run(v) for v in (
+        np.zeros(8), np.full(8, 64.0),
+        np.array([2.0**-32, 2.0, 0.0, 64.0, 1.0, 0.5, 1e-3, 63.9]),
+        rng.uniform(0.0, 64.0, size=8))]
+    assert all(r == runs[0] for r in runs[1:])
+
+
+def test_dabit_counter_closed_form():
+    # one daBit per opened bit per element: the two borrow taps of a
+    # truncation, the sign bit of a comparison, every requested value bit
+    # and every one-hot bit; equality opens no bit and draws none
+    n = 6
+    per_element = {
+        "trunc": (lambda e, x: e.trunc(x, 16), 2),
+        "sec_cmp": (lambda e, x: prim.sec_cmp(e, x, x, "GT"), 1),
+        "value_bits": (lambda e, x: prim._value_bits(e, x, range(34)), 34),
+        "msb_onehot": (lambda e, x: prim._msb_onehot(e, x, 39), 39),
+        # 2 clamp comparisons, the msb one-hot and 9 truncations
+        "sec_ln": (prim.sec_ln, 2 + 34 + 2 * 9),
+        # 2 clamp comparisons, the msb one-hot and 19 truncations
+        "sec_sqrt": (prim.sec_sqrt, 2 + 39 + 2 * 19),
+        # 2 clamp comparisons and 21 truncations
+        "sec_sin_cos": (prim.sec_sin_cos, 2 + 2 * 21),
+        "sec_eq": (lambda e, x: prim.sec_eq(e, x, x, nbits=3), 0),
+    }
+    for name, (call, k) in per_element.items():
+        for backend in BACKENDS:
+            eng = make_engine(backend, seed=71)
+            call(eng, eng.share(fixed.encode(np.linspace(0.5, 1.5, n))))
+            want = k * n if backend == "mpc" else 0
+            assert eng.transcript.counters.get("dabit", 0) == want, (name, backend)

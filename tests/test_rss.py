@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fixed_reference import fx_mul_trunc
 from mpcsyn import fixed
 from mpcsyn.rss import (
     IntegrityError,
@@ -136,7 +137,23 @@ def test_trunc_mul_matches_fx_oracle_bitwise():
     b = rng.uniform(-0.7, 0.7, size=500)
     wa, wb = fixed.encode(a), fixed.encode(b)
     got = eng.reconstruct(eng.trunc(eng.mul(eng.share(wa), eng.share(wb))))
-    assert np.array_equal(got, fixed.fx_mul_trunc(wa, wb))
+    assert np.array_equal(got, fx_mul_trunc(wa, wb))
+
+
+@pytest.mark.parametrize("backend", ("mpc", "cdp"))
+def test_trunc_of_product_matches_reference_at_every_shift(backend):
+    # every shift the primitives truncate by; |a|, |b| < 2^31 keeps the
+    # product a representable signed word, where the wrapped 64-bit
+    # product and the 128-bit reference agree
+    eng = make_engine(backend, seed=35)
+    rng = np.random.default_rng(35)
+    edge = np.array([0, 1, -1, (1 << 31) - 1, -(1 << 31) + 1], dtype=np.int64)
+    for g in (2, 6, 16, 26, 27, 28, 30, 32):
+        a = np.concatenate([edge, edge[::-1], rng.integers(-(1 << 31) + 1, 1 << 31, size=200)])
+        b = np.concatenate([edge, edge, rng.integers(-(1 << 31) + 1, 1 << 31, size=200)])
+        wa, wb = fixed.as_word(a), fixed.as_word(b)
+        got = eng.reconstruct(eng.trunc(eng.mul(eng.share(wa), eng.share(wb)), g))
+        assert np.array_equal(got, fx_mul_trunc(wa, wb, g)), g
 
 
 def test_rand_bit_support_mean_and_determinism():
@@ -152,21 +169,21 @@ def test_rand_bit_support_mean_and_determinism():
 
 def test_mask_bits_are_uniform_bits_per_position():
     eng = Mpc3Engine(seed=19)
-    bits = eng.reconstruct(eng.mask_bits((3, 1000)))
+    bits = eng.reconstruct(eng.mask_bits((3, 1000)).bits)
     assert bits.shape == (64, 3, 1000)
     assert set(np.unique(bits).tolist()) <= {0, 1}
     # every position of the unpacked words is a fair coin
     means = bits.reshape(64, -1).mean(axis=1)
     assert np.all(np.abs(means - 0.5) < 0.05)
     assert eng.transcript.counters["mask_bit"] == 64 * 3000
-    again = Mpc3Engine(seed=19).reconstruct(Mpc3Engine(seed=19).mask_bits((3, 1000)))
+    again = Mpc3Engine(seed=19).reconstruct(Mpc3Engine(seed=19).mask_bits((3, 1000)).bits)
     assert np.array_equal(bits, again)
 
 
 @pytest.mark.parametrize("nbits", (1, 2, 5, 63))
 def test_mask_bits_width(nbits):
     eng = Mpc3Engine(seed=21)
-    bits = eng.reconstruct(eng.mask_bits((2, 500), nbits))
+    bits = eng.reconstruct(eng.mask_bits((2, 500), nbits).bits)
     assert bits.shape == (nbits, 2, 500)
     assert set(np.unique(bits).tolist()) <= {0, 1}
     assert np.all(np.abs(bits.reshape(nbits, -1).mean(axis=1) - 0.5) < 0.07)
@@ -181,9 +198,9 @@ def test_masked_open_word_uniform_for_fixed_input(nbits):
     eng = Mpc3Engine(seed=22)
     n = 40_000
     x = np.full(n, 3, dtype=np.uint64)
-    m, bits = eng.masked_open(eng.share(x), nbits)
+    m, mask = eng.masked_open(eng.share(x), nbits)
     # the low nbits bits of the opened word are (x + mask bits) mod 2^nbits
-    low = np.sum(eng.reconstruct(bits) << np.arange(nbits, dtype=np.uint64)[:, None],
+    low = np.sum(eng.reconstruct(mask.bits) << np.arange(nbits, dtype=np.uint64)[:, None],
                  axis=0, dtype=np.uint64)
     keep = np.uint64((1 << nbits) - 1)
     assert np.array_equal((m - x - low) & keep, np.zeros(n, dtype=np.uint64))
@@ -331,11 +348,16 @@ def test_plain_engine_matches_mpc_on_arithmetic():
     assert np.array_equal(outs[0], outs[1])
 
 
-def _shared_mask(eng, rng, shape):
-    """Shared bit tensor (64, *shape) and the word r it encodes."""
-    bits = rng.integers(0, 2, size=(64,) + shape, dtype=np.uint64)
+def _masked(eng, rng, shape, taps):
+    """A masked opening of random words with the daBits ``taps`` need (a
+    fifth of the words are 0, so m = r there and every tap ties); returns
+    (m, mask, r) with r the word the arithmetic mask bits encode."""
+    x = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+    x = np.where(rng.random(shape) < 0.2, np.uint64(0), x)
+    m, mask = eng.masked_open(eng.share(x), dabits=[t - 1 for t in taps if t])
+    bits = eng.reconstruct(mask.bits)
     weights = (np.uint64(1) << np.arange(64, dtype=np.uint64)).reshape((64,) + (1,) * len(shape))
-    return eng.share(bits), np.sum(bits * weights, axis=0, dtype=np.uint64)
+    return m, mask, np.sum(bits * weights, axis=0, dtype=np.uint64)
 
 
 def _borrow_into(m, r, t):
@@ -353,10 +375,8 @@ def test_borrow_taps_match_plaintext_borrow(shape):
     tap_sets = [[0], [1], [63], [64], list(range(34)), list(range(39))]
     tap_sets += [[g, 64] for g in range(1, 64)]
     for taps in tap_sets:
-        bits, r = _shared_mask(eng, rng, shape)
-        m = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
-        m = np.where(rng.random(shape) < 0.2, r, m)  # ties: equal low bits too
-        got = eng.reconstruct(eng.borrow_taps(m, bits, taps))
+        m, mask, r = _masked(eng, rng, shape, taps)
+        got = eng.reconstruct(eng.borrow_taps(m, mask, taps))
         assert got.shape == (len(taps),) + shape
         for i, t in enumerate(taps):
             assert np.array_equal(got[i], _borrow_into(m, r, t)), (taps, t)
@@ -367,10 +387,9 @@ def test_borrow_taps_rounds_are_log_depth():
     rng = np.random.default_rng(28)
     for taps, depth in (([0], 0), ([1], 0), ([2], 1), ([63], 6), ([64], 6),
                         ([6, 64], 6), (list(range(34)), 6), ([5], 3)):
-        bits, _ = _shared_mask(eng, rng, (4,))
-        m = rng.integers(0, 1 << 64, size=4, dtype=np.uint64)
+        m, mask, _ = _masked(eng, rng, (4,), taps)
         before = eng.transcript.rounds
-        eng.borrow_taps(m, bits, taps)
+        eng.borrow_taps(m, mask, taps)
         assert eng.transcript.rounds - before == depth, taps
 
 
@@ -386,18 +405,55 @@ def test_trunc_round_count_closed_form():
 
 
 def test_borrow_network_records_data_independent():
-    def run(m, bit_vals):
+    def run(x):
         eng = Mpc3Engine(seed=30, record_messages=True)
-        bits = eng.share(bit_vals)
         for taps in ([63], [30, 64], list(range(39))):
-            eng.borrow_taps(m, bits, taps)
-        eng.trunc(eng.share(m), 26)
+            m, mask = eng.masked_open(eng.share(x), dabits=[t - 1 for t in taps if t])
+            eng.borrow_taps(m, mask, taps)
+        eng.trunc(eng.share(x), 26)
         return eng.transcript.records
 
     rng = np.random.default_rng(30)
-    runs = [run(rng.integers(0, 1 << 64, size=(3, 5), dtype=np.uint64),
-                rng.integers(0, 2, size=(64, 3, 5), dtype=np.uint64)) for _ in range(2)]
+    runs = [run(rng.integers(0, 1 << 64, size=(3, 5), dtype=np.uint64)) for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def _fused_opening(run):
+    """Run ``run(eng)`` on a fresh engine and return the word its last
+    round opened: the XOR of the three parties' words in that round."""
+    eng = Mpc3Engine(seed=36)
+    sent = {}
+    send = eng._send
+
+    def spy(sender, receiver, arr):
+        sent[(eng.transcript.rounds, sender)] = arr.copy()
+        return send(sender, receiver, arr)
+
+    eng._send = spy
+    run(eng)
+    last = eng.transcript.rounds
+    return sent[(last, 0)] ^ sent[(last, 1)] ^ sent[(last, 2)]
+
+
+def test_fused_opening_reveals_uniform_bits():
+    # a fixed secret in every lane: the opened bit ^ daBit words must be
+    # uniform on the opened positions, and zero on every other position
+    lanes, x = 8192, np.full(8192, 123_456_789, dtype=np.uint64)
+    cases = (
+        (lambda e: e.trunc(e.share(x), 16), (15, 63)),
+        (lambda e: e.value_bits(e.share(x), (63,)), (63,)),
+        (lambda e: e.msb_onehot(e.share(x), 34), tuple(range(34))),
+    )
+    for run, positions in cases:
+        word = _fused_opening(run)
+        keep = sum(1 << p for p in positions)
+        assert not np.any(word & ~np.uint64(keep)), positions
+        for group in (positions[:4], positions[-4:]):
+            cells = np.zeros(lanes, dtype=np.int64)
+            for i, p in enumerate(group):
+                cells |= ((word >> np.uint64(p)) & np.uint64(1)).astype(np.int64) << i
+            counts = np.bincount(cells, minlength=1 << len(group))
+            assert stats.chisquare(counts).pvalue > 0.01, (positions, group)
 
 
 def test_share_array_pairs_are_independent_views():
