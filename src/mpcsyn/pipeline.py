@@ -59,8 +59,11 @@ class PrivacyBudget:
 
     The budget splits evenly: each round spends epsilon_total/(2T) on
     selection and the same on measurement. The Gaussian scale uses the
-    analytic bound sigma = sqrt(2 ln(1.25/delta)) * D2 / eps_measure
-    with per-query L2 sensitivity D2 = 1; Laplace uses b = 1/eps_measure.
+    classical bound sigma = sqrt(2 ln(1.25/delta)) * D2 / eps_measure
+    with per-query L2 sensitivity D2 = 1, which holds only for
+    eps_measure < 1 (Dwork-Roth, Thm A.1); each Gaussian round spends
+    delta, so T rounds spend T * delta under basic composition. Laplace
+    uses b = 1/eps_measure and spends no delta.
     """
 
     epsilon_total: Fraction
@@ -86,8 +89,14 @@ class PrivacyBudget:
         return self.epsilon_total / (2 * self.rounds)
 
     def measure_scale(self, noise_kind: str) -> float:
+        """Noise scale of one measurement; raises ``ValueError`` for a
+        Gaussian kind at eps_measure >= 1, outside its bound's validity."""
         eps = float(self.epsilon_measure)
         if noise_kind in _GAUSSIAN_KINDS:
+            if self.epsilon_measure >= 1:
+                raise ValueError(
+                    f"{noise_kind} noise needs epsilon_measure < 1, got "
+                    f"{self.epsilon_measure} (epsilon_total / (2 * rounds))")
             return math.sqrt(2.0 * math.log(1.25 / float(self.delta))) / eps
         return 1.0 / eps
 
@@ -101,7 +110,7 @@ class PrivacyBudget:
             for r in range(self.rounds)
         ]
 
-    def ledger_json(self) -> dict:
+    def ledger_json(self, noise_kind: str) -> dict:
         spent = [
             {
                 "round": e["round"],
@@ -115,6 +124,8 @@ class PrivacyBudget:
             "delta": str(self.delta),
             "rounds": self.rounds,
             "per_round": spent,
+            "delta_spent": str(self.rounds * self.delta
+                               if noise_kind in _GAUSSIAN_KINDS else 0),
         }
 
 
@@ -411,14 +422,18 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
     synthetic rows at the end. The cdp backend runs the identical logic
     on plaintext words with the same seeded randomness streams.
 
-    Raises ``ValueError`` before any protocol work when the noise scale
-    times the sampler's tail bound (``NOISE_TAIL``) reaches scale_pub's
-    2^15 range, where the scaled noise would wrap, and when AIM's public
-    biases and scales alone guarantee that its score scaling leaves that
-    range (``_check_aim_scale``).
+    Raises ``ValueError`` before any protocol work when the dataset has
+    no rows, when a Gaussian noise kind meets eps_measure >= 1
+    (``PrivacyBudget.measure_scale``), when the noise scale times the
+    sampler's tail bound (``NOISE_TAIL``) reaches scale_pub's 2^15 range,
+    where the scaled noise would wrap, and when AIM's public biases and
+    scales alone guarantee that its score scaling leaves that range
+    (``_check_aim_scale``).
     """
     schema = dataset.schema
     n = int(dataset.rows.shape[0])
+    if n == 0:
+        raise ValueError("dataset has no rows")
     if len(workload.queries) == 0:
         raise ValueError("workload must contain at least one query")
     if algo not in ("AIM", "MWEM"):
@@ -477,7 +492,7 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
     synthetic = sample_synthetic(dist, n, rng)
     log = {
         "rounds": rounds_log,
-        "budget_ledger": budget.ledger_json(),
+        "budget_ledger": budget.ledger_json(noise_kind),
         "transcript_summary": eng.transcript.summary(),
     }
     return synthetic, log

@@ -43,8 +43,10 @@ yields bit-identical results.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -56,6 +58,38 @@ U64 = np.uint64
 MASK64 = 0xFFFFFFFFFFFFFFFF
 _BIT_POS = np.arange(64, dtype=U64)
 _BIT_WEIGHTS = np.uint64(1) << _BIT_POS
+
+# glibc mallopt parameters, and the values heap retention sets them to
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 1 << 30
+
+
+def _retain_heap() -> bool:
+    """Keep freed heap pages in the process; True if glibc accepted both.
+
+    Every masked opening allocates fresh arrays. By default glibc serves
+    large blocks with mmap and trims the freed heap top, so the next call
+    faults the same pages in again. Raising both thresholds keeps freed
+    blocks in the heap for reuse. Setting only one of them switches off
+    glibc's dynamic thresholds and faults more, so the mmap threshold,
+    the one that can be refused, goes first and a refusal changes nothing.
+    Any other libc is left as it is.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
+
+
+_retain_heap()
 
 
 def _as_shape(shape) -> tuple[int, ...]:

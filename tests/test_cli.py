@@ -176,3 +176,31 @@ def test_metrics_subcommand(tmp_path, capsys):
                      "--domain", TOY_DOMAIN, "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["workload_error"] == 0.0
+
+
+@pytest.mark.parametrize("backend", ["mpc", "cdp"])
+def test_gen_empty_dataset_exits_one(tmp_path, capsys, backend):
+    csv_path, dom_path = write_small_dataset(tmp_path, n=0)
+    out = tmp_path / "s.csv"
+    code = cli.main(["gen", "--data", csv_path, "--domain", dom_path,
+                     "--out", str(out), "--backend", backend,
+                     "--partition", "vertical:2", "--rounds", "2"])
+    assert code == 1
+    assert "error: dataset has no rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("noise,code", [("bm", 1), ("ih", 1), ("lap", 0)])
+def test_gen_gaussian_epsilon_measure_one_exits_one(tmp_path, capsys,
+                                                    noise, code):
+    csv_path, dom_path = write_small_dataset(tmp_path)
+    out = tmp_path / "s.csv"
+    # epsilon_measure = 10 / (2 * 3) = 5/3
+    assert cli.main(["gen", "--data", csv_path, "--domain", dom_path,
+                     "--out", str(out), "--backend", "cdp", "--algo", "mwem",
+                     "--epsilon", "10", "--rounds", "3",
+                     "--noise", noise]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "error: " in err and "epsilon_measure < 1" in err
+    assert out.exists() == (code == 0)

@@ -810,6 +810,56 @@ def test_run_pipeline_config_errors():
                      backend="cdp")
 
 
+_GAUSSIAN = ["gaussian-box-muller", "gaussian-irwin-hall"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", _GAUSSIAN)
+def test_run_pipeline_gaussian_fails_closed_at_epsilon_measure_one(
+        monkeypatch, backend, kind):
+    # the classical Gaussian bound holds only for eps_measure < 1
+    ds, wl = _toy_instance(n=40, seed=9)
+    plan = horizontal_plan(40, 3, 2)
+    monkeypatch.setattr(pipeline, "make_engine", _engine_created)
+    for epsilon, rounds in ((10, 3), (2, 1)):  # eps_measure 5/3 and 1
+        with pytest.raises(ValueError, match="epsilon_measure < 1"):
+            run_pipeline(ds, plan, wl, PrivacyBudget(epsilon, 1e-9, rounds),
+                         algo="MWEM", noise_kind=kind, backend=backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind,epsilon", [
+    ("laplace-sign", Fraction(10)),  # eps_measure 5/3
+    ("gaussian-box-muller", Fraction(5997, 1000)),  # eps_measure 0.9995
+    ("gaussian-irwin-hall", Fraction(5997, 1000)),
+], ids=["laplace-5/3", "box-muller-0.9995", "irwin-hall-0.9995"])
+def test_run_pipeline_runs_inside_noise_preconditions(backend, kind, epsilon):
+    ds, wl = _toy_instance(n=40, seed=9)
+    budget = PrivacyBudget(epsilon, Fraction(1, 10**9), 3)
+    _, log = run_pipeline(ds, horizontal_plan(40, 3, 2), wl, budget,
+                          algo="MWEM", noise_kind=kind, backend=backend,
+                          seed=2)
+    assert len(log["rounds"]) == 3
+    # each Gaussian round spends the full delta; Laplace spends none
+    want = "3/1000000000" if kind in _GAUSSIAN else "0"
+    assert log["budget_ledger"]["delta_spent"] == want
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("partition", ["central", "vertical"])
+def test_run_pipeline_empty_dataset_fails_closed(monkeypatch, backend,
+                                                 partition):
+    schema = small_schema([3, 3, 3])
+    ds = Dataset(np.zeros((0, 3), dtype=np.int64), schema)
+    plan = (horizontal_plan(0, 3, 1) if partition == "central"
+            else vertical_plan(0, 3, [[0], [1, 2]]))
+    wl = Workload((Query((0,)), Query((0, 1))))
+    monkeypatch.setattr(pipeline, "make_engine", _engine_created)
+    with pytest.raises(ValueError, match="dataset has no rows"):
+        run_pipeline(ds, plan, wl, PrivacyBudget(1.0, 1e-9, 2),
+                     backend=backend)
+
+
 def test_generate_step_is_post_processing_only():
     # the generate interfaces accept only public model state and noisy
     # measurements: no share vectors, no raw dataset

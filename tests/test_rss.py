@@ -1,11 +1,15 @@
 """Replicated sharing engine: reconstruction, messaging, shared randomness."""
 
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from fixed_reference import fx_mul_trunc
-from mpcsyn import fixed
+from mpcsyn import fixed, rss
+from mpcsyn.primitives import sec_eq
 from mpcsyn.rss import (
     IntegrityError,
     Mpc3Engine,
@@ -583,3 +587,63 @@ def test_bit_sum_matches_reference(backend, kind, shape):
     assert eng.transcript.msg_count == before  # local
     assert out.shape == shape
     assert np.array_equal(eng.open(out), _bit_sum_reference(bits, weights))
+
+
+# -- heap retention -------------------------------------------------------------
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="heap retention is glibc-only")
+def test_repeated_equality_tests_fault_in_no_fresh_pages():
+    # a repeat of 24,000 two-bit equality tests faults ~2,000 pages in
+    # again when glibc returns freed blocks to the kernel between calls
+    import resource
+
+    eng = Mpc3Engine(seed=8)
+    rng = np.random.default_rng(8)
+    x = eng.share(rng.integers(0, 3, size=24_000, dtype=np.uint64))
+    sec_eq(eng, x, 1, nbits=2)  # warm-up
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sec_eq(eng, x, 1, nbits=2)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
+
+
+def _fake_libc(accept: bool):
+    """A libc whose mallopt records its calls and returns ``accept``."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return int(accept)
+
+    return SimpleNamespace(mallopt=mallopt), calls
+
+
+@pytest.mark.parametrize("confstr", [None, ValueError],
+                         ids=["no-value", "unknown-name"])
+def test_retain_heap_off_glibc_calls_no_mallopt(monkeypatch, confstr):
+    def fake_confstr(name):
+        if confstr is ValueError:
+            raise ValueError("unrecognized configuration name")
+        return confstr
+
+    libc, calls = _fake_libc(accept=True)
+    monkeypatch.setattr(rss.os, "confstr", fake_confstr)
+    monkeypatch.setattr(rss.ctypes, "CDLL", lambda name: libc)
+    assert rss._retain_heap() is False
+    assert calls == []
+
+
+def test_retain_heap_refused_mmap_threshold_sets_nothing_else(monkeypatch):
+    # setting the trim threshold alone would be worse than neither
+    libc, calls = _fake_libc(accept=False)
+    monkeypatch.setattr(rss.os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(rss.ctypes, "CDLL", lambda name: libc)
+    assert rss._retain_heap() is False
+    assert calls == [(rss._M_MMAP_THRESHOLD, rss._MMAP_THRESHOLD)]
