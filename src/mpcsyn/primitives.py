@@ -1,14 +1,13 @@
 """Secure nonlinear primitives: equality, comparison, max, elementary functions.
 
-Every construction here follows the masked-opening pattern: blind the
-relevant value with fresh shared random bits, open the blinded word (it
-is uniform, so the opening leaks nothing), then recover the predicate
-from the public word and the shared mask bits. Equality ANDs the
-mask bits against the opened ones; the sign bit of a comparison and the
-most-significant-bit one-hot of ln and sqrt come from the engine's
-packed borrow network (``Mpc3Engine.value_bits`` and ``msb_onehot``).
-The message pattern of each primitive therefore depends only on shapes,
-never on the data.
+Every construction here composes engine calls. The engine's bit-level
+operations follow the masked-opening pattern: blind the relevant value
+with fresh shared random bits, open the blinded word (it is uniform, so
+the opening leaks nothing), then recover the predicate from the public
+word and the shared mask bits. Equality is the engine's ``eq_zero``; the
+sign bit of a comparison and the most-significant-bit one-hot of ln and
+sqrt are its ``value_bits`` and ``msb_onehot``. The message pattern of
+each primitive therefore depends only on shapes, never on the data.
 
 Elementary functions run on pre-shifted working scales with fewer
 fractional bits than the global F = 32 so that intermediate 64-bit
@@ -19,10 +18,11 @@ coefficients below are least-squares fits on Chebyshev nodes; the
 fitting error is at most 3.4e-8 on each stated domain, far inside the
 2^-10 end-to-end accuracy contract.
 
-On a plaintext engine the same code runs with the bit extractions done
+On the plaintext engine the same code runs with the bit extractions done
 locally; all word-level results are bit-identical to the multi-party
 execution because truncation, wrapping, and the shared randomness
-streams coincide.
+streams coincide. Each range contract is one ``eng.require`` call, which
+only the plaintext engine evaluates.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .fixed import F, FX_ONE, as_word, encode
-from .rss import PlainVec, RangeContractError, U64, check_width
+from .rss import check_width
 
 EXP_DOMAIN = (-16.0, 0.0)
 LN_DOMAIN = (2.0**-F, 2.0)
@@ -80,43 +80,15 @@ def _const_like(eng, x, c: float, frac_bits: int = F):
     return eng.const_vec(np.broadcast_to(_enc_at(c, frac_bits), x.shape).copy())
 
 
-def _pub_bits(word: np.ndarray, positions) -> np.ndarray:
-    """Bits of public words at ``positions``, stacked on a new leading axis."""
-    pos = np.asarray(positions, dtype=U64).reshape((-1,) + (1,) * np.ndim(word))
-    return (word >> pos) & np.uint64(1)
-
-
-def _xor_pub(eng, b, m: np.ndarray):
-    """b XOR m = m + (1 - 2m) b for shared bits b, public bits m (local)."""
-    m = np.asarray(m, dtype=U64)
-    return eng.add_const(eng.mul_const_int(b, np.uint64(1) - m - m), m)
-
-
-def _and_reduce(eng, leaves):
-    """AND over axis 0 of shared bits; n-1 bit-multiplications, log depth."""
-    cur, length = leaves, leaves.shape[0]
-    while length > 1:
-        half = length // 2
-        a = eng.index(cur, slice(0, 2 * half, 2))
-        b = eng.index(cur, slice(1, 2 * half, 2))
-        prod = eng._mul_raw(a, b)
-        if length % 2:
-            prod = eng.concat([prod, eng.index(cur, slice(2 * half, length))], axis=0)
-        cur, length = prod, (length + 1) // 2
-    return eng.index(cur, 0)
-
-
 def sec_eq(eng, x, other, nbits: int = 64):
     """Share of [x == other]; ``other`` is a public integer array or a share.
 
     Width contract: the signed difference d = x - other satisfies
     |d| < 2^nbits, so d == 0 iff its low ``nbits`` bits are zero (bounded
     equality, Catrina-de Hoogh). The default of 64 holds for any words.
-    The masked difference is opened with a width-``nbits`` mask and its
-    low bits are compared with the mask's shared bits. Cost per element:
-    ``nbits`` mask bits, one opened word and nbits - 1 ANDs in a tree of
-    depth ceil(log2 nbits), so 3 + ceil(log2 nbits) rounds. The plaintext
-    engine raises ``RangeContractError`` when the contract is broken.
+    The engine's ``eq_zero`` tests the low ``nbits`` bits of d. Cost per
+    element: ``nbits`` mask bits, one opened word and nbits - 1 ANDs in a
+    tree of depth ceil(log2 nbits), so 3 + ceil(log2 nbits) rounds.
     """
     check_width(nbits)
     if isinstance(other, (int, np.integer, np.ndarray)):
@@ -124,32 +96,28 @@ def sec_eq(eng, x, other, nbits: int = 64):
     else:
         d = eng.sub(x, other)
     eng.count("eq", d.size)
-    if eng.is_plain:
-        if nbits < 64 and np.any(_outside_width(d.raw, nbits)):
-            raise RangeContractError(f"sec_eq: a difference has |d| >= 2^{nbits}")
-        return PlainVec((d.raw == 0).astype(U64))
-    m, mask = eng.masked_open(d, nbits)
-    # d == 0 iff the opened low bits equal the mask bits, all nbits pairs
-    return _and_reduce(eng, _xor_pub(eng, mask.bits, np.uint64(1) - _pub_bits(m, range(nbits))))
+    if nbits < 64:
+        eng.require(d, lambda w: _within_width(w, nbits),
+                    f"sec_eq: a difference has |d| >= 2^{nbits}")
+    return eng.eq_zero(d, nbits)
 
 
-def _outside_width(d: np.ndarray, nbits: int) -> np.ndarray:
-    """[|d| >= 2^nbits] for signed words d, nbits < 64: d lies in
+def _within_width(d: np.ndarray, nbits: int) -> np.ndarray:
+    """[|d| < 2^nbits] for signed words d, nbits < 64: d lies in
     (-2^nbits, 2^nbits) iff d + 2^nbits - 1 (mod 2^64) < 2^(nbits+1) - 1."""
-    return np.add(d, np.uint64((1 << nbits) - 1)) >= np.uint64((2 << nbits) - 1)
+    return np.add(d, np.uint64((1 << nbits) - 1)) < np.uint64((2 << nbits) - 1)
 
 
 def sec_cmp(eng, x, y, mode: str):
     """Signed fixed-point comparison; returns a shared 0/1 indicator.
 
     Range contract: |decode| < 2^(62-F) on both sides so x - y cannot
-    wrap; the plaintext engine raises ``RangeContractError`` when it is
-    broken. LT/GT/GTE all cost one comparison (counted under "gt").
+    wrap, checked by ``require``. LT/GT/GTE all cost one comparison
+    (counted under "gt").
     """
-    if eng.is_plain and (_outside_width(x.raw, 62).any()
-                         or _outside_width(y.raw, 62).any()):
-        raise RangeContractError(
-            f"sec_cmp: an input has magnitude >= 2^{62 - F}")
+    for v in (x, y):
+        eng.require(v, lambda w: _within_width(w, 62),
+                    f"sec_cmp: an input has magnitude >= 2^{62 - F}")
     if mode == "LT":
         d = eng.sub(x, y)
     elif mode == "GT":
@@ -159,7 +127,7 @@ def sec_cmp(eng, x, y, mode: str):
     else:
         raise ValueError(f"unknown comparison mode {mode!r}")
     eng.count("gt", d.size)
-    sign = eng.index(_value_bits(eng, d, (63,)), 0)  # signed d < 0
+    sign = eng.index(eng.value_bits(d, (63,)), 0)  # signed d < 0
     if mode == "GTE":
         return eng.sub(eng.const_vec(np.broadcast_to(np.uint64(1), sign.shape).copy()), sign)
     return sign
@@ -167,20 +135,10 @@ def sec_cmp(eng, x, y, mode: str):
 
 def sec_max(eng, xs):
     """Share of max over axis 0 by tournament; exactly len-1 comparisons."""
-    length = xs.shape[0]
-    if length == 0:
+    if xs.shape[0] == 0:
         raise ValueError("sec_max of empty vector")
-    cur = xs
-    while length > 1:
-        half = length // 2
-        a = eng.index(cur, slice(0, 2 * half, 2))
-        b = eng.index(cur, slice(1, 2 * half, 2))
-        gt = sec_cmp(eng, a, b, "GT")
-        best = eng.add(b, eng._mul_raw(gt, eng.sub(a, b)))
-        if length % 2:
-            best = eng.concat([best, eng.index(cur, slice(2 * half, length))], axis=0)
-        cur, length = best, (length + 1) // 2
-    return eng.index(cur, 0)
+    return eng.reduce_pairs(
+        xs, lambda a, b: eng.add(b, eng._mul_raw(sec_cmp(eng, a, b, "GT"), eng.sub(a, b))))
 
 
 def _clamp(eng, x, lo: float, hi: float):
@@ -200,32 +158,6 @@ def _horner(eng, x, coeffs, frac_bits: int):
         acc = eng.trunc(eng._mul_raw(acc, x), frac_bits)
         acc = eng.add_const(acc, _enc_at(c, frac_bits))
     return acc
-
-
-def _value_bits(eng, x, positions):
-    """Shared bits of the word x at bit ``positions``, stacked on a new
-    leading axis in that order; exact for any word."""
-    positions = tuple(positions)
-    if eng.is_plain:
-        return PlainVec(_pub_bits(x.raw, positions))
-    return eng.value_bits(x, positions)
-
-
-def _msb_onehot(eng, x, nbits: int):
-    """One-hot of the most significant set bit among positions 0..nbits-1.
-
-    Contract: the bits of x at nbits and above are zero. All-zero input
-    yields the all-zero vector (callers exploit this for the x = 0 edge
-    case). The plaintext engine computes it directly: the suffix ORs
-    s_j = OR of bits j..nbits-1 by shifted ORs, then s ^ (s >> 1); the
-    protocol runs the same scan on packed shares (``msb_onehot``).
-    """
-    if eng.is_plain:
-        s = x.raw & np.uint64((1 << nbits) - 1)
-        for k in range(6):
-            s = s | (s >> np.uint64(1 << k))
-        return PlainVec(_pub_bits(s ^ (s >> np.uint64(1)), range(nbits)))
-    return eng.msb_onehot(x, nbits)
 
 
 def sec_exp(eng, x):
@@ -253,7 +185,7 @@ def sec_ln(eng, x):
     term p * ln 2.
     """
     x = _clamp(eng, x, *LN_DOMAIN)
-    onehot = _msb_onehot(eng, x, 34)  # raw in [1, 2^33]
+    onehot = eng.msb_onehot(x, 34)  # raw in [1, 2^33]
     factor = eng.bit_sum(onehot, [1 << (33 - j) for j in range(34)])
     m = eng._mul_raw(x, factor)  # mantissa in [2, 4) at full scale
     u = eng.trunc(eng.sub_const(m, encode(3.0)), F - 28)
@@ -273,7 +205,7 @@ def sec_sqrt(eng, x):
     power of two 2^-s.
     """
     x = _clamp(eng, x, *SQRT_DOMAIN)
-    onehot = _msb_onehot(eng, x, 39)  # raw in [0, 2^38]
+    onehot = eng.msb_onehot(x, 39)  # raw in [0, 2^38]
     shifts = [(39 - p) // 2 for p in range(39)]  # x * 4^s lands in [64, 256)
     scale_up = eng.bit_sum(onehot, [1 << (2 * s) for s in shifts])
     m = eng._mul_raw(x, scale_up)
@@ -303,14 +235,13 @@ def sec_sin_cos(eng, x):
     quadrant one-hot (k = 4 only arises from the clamp boundary and
     behaves as k = 0). Since k lies in [0, 4], each of its differences
     with 0..4 has |d| <= 4, so the one-hot's equality tests run at 3
-    bits; the plaintext engine raises ``RangeContractError`` if k ever
-    leaves [0, 4].
+    bits, which ``require`` checks.
     """
     x = _clamp(eng, x, *TRIG_DOMAIN)
     y = eng.scale_pub(x, 2.0 / math.pi)  # in [0, 4]
     k = eng.trunc(y, F)  # integer quadrant share
-    if eng.is_plain and np.any(k.raw > np.uint64(4)):
-        raise RangeContractError("sec_sin_cos: a quadrant lies outside [0, 4]")
+    eng.require(k, lambda w: w <= np.uint64(4),
+                "sec_sin_cos: a quadrant lies outside [0, 4]")
     g = eng.sub(y, eng.mul_const_int(k, FX_ONE))
     g30 = eng.trunc(g, 2)
     ks = eng.stack([k] * 5, axis=0)

@@ -38,7 +38,10 @@ semantics, same DP-level randomness streams, no communication. Because
 the two engines share the "noise"-purpose randomness streams and all
 revealed MPC values are deterministic in the inputs (masks and resharing
 randomness cancel), running the same protocol code on either engine
-yields bit-identical results.
+yields bit-identical results. It is the plaintext oracle's only home:
+the bit extractions and the equality test that the protocol computes on
+masked openings, it computes directly on the words, and ``require``,
+where every range contract is checked, fails closed only there.
 """
 
 from __future__ import annotations
@@ -271,8 +274,6 @@ class _EngineBase:
     helpers) lives here once so both backends cannot drift apart.
     """
 
-    is_plain: bool
-
     def __init__(self, seed: int, record_messages: bool = False):
         self.seed = int(seed)
         self.transcript = Transcript(record_messages)
@@ -343,6 +344,12 @@ class _EngineBase:
         """Combine the three pairwise PRF bit arrays into one shared bit."""
         raise NotImplementedError
 
+    def require(self, x, ok, what: str) -> None:
+        """Range-contract check: raise ``RangeContractError(what)`` unless
+        the predicate ``ok`` holds for every word of x. Only the plaintext
+        engine sees words; the protocol cannot and checks nothing."""
+        raise NotImplementedError
+
     # -- shared randomness ----------------------------------------------------
 
     def rand_bit(self, shape):
@@ -390,13 +397,16 @@ class _EngineBase:
         Integer constants are exact and local; otherwise the encoded
         constant is split into two 16-bit limbs, each applied by a local
         integer multiply followed by a truncation. Contract: |value| < 2^15
-        and |value * c| < 2^15 (enough for count-scale pipeline data); the
-        plaintext engine raises ``RangeContractError`` when it is broken.
+        and |value * c| < 2^15 (enough for count-scale pipeline data),
+        checked by ``require``. The protocol runs the same code on the same
+        values, so a ``cdp`` run that passes certifies the ``mpc`` run.
         """
         cf = float(c)
         if cf == int(cf):
             return self.mul_const_int(x, int(cf))
         mag = abs(cf)
+        self.require(x, lambda w: np.abs(decode(w)) * max(1.0, mag) < SCALE_PUB_LIMIT,
+                     f"scale_pub by {cf}: a value or its product has magnitude >= 2^15")
         c_raw = int(encode(mag))
         hi, lo = c_raw >> 16, c_raw & 0xFFFF
         y = self.trunc(self.mul_const_int(x, hi), 16)
@@ -476,9 +486,29 @@ class _EngineBase:
 
         return self._layout(weighted, bits)
 
+    def reduce_pairs(self, x, combine):
+        """Reduce axis 0 by halving: each level combines elements 2i and
+        2i + 1 and carries an odd last one, so len - 1 combines in
+        ceil(log2 len) levels."""
+        length = x.shape[0]
+        while length > 1:
+            half = length // 2
+            out = combine(self.index(x, slice(0, 2 * half, 2)),
+                          self.index(x, slice(1, 2 * half, 2)))
+            if length % 2:
+                out = self.concat([out, self.index(x, slice(2 * half, length))], axis=0)
+            x, length = out, (length + 1) // 2
+        return self.index(x, 0)
+
     def assemble(self, shape, placements):
         """Zero array with rectangles written in: (row_slice, columns, vec)."""
         raise NotImplementedError
+
+
+def _pub_bits(word: np.ndarray, positions) -> np.ndarray:
+    """Bits of public words at ``positions``, stacked on a new leading axis."""
+    pos = np.asarray(positions, dtype=U64).reshape((-1,) + (1,) * np.ndim(word))
+    return (word >> pos) & np.uint64(1)
 
 
 def _aligned(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -551,7 +581,6 @@ def _opening_plan(positions: tuple[int, ...], dabit_pos: tuple[int, ...]):
 class Mpc3Engine(_EngineBase):
     """Deterministic in-process simulator of the three-party protocol."""
 
-    is_plain = False
     _lead = 2
 
     def __init__(self, seed: int, record_messages: bool = False):
@@ -698,6 +727,9 @@ class Mpc3Engine(_EngineBase):
     def _mul_raw(self, x: ShareVec, y: ShareVec) -> ShareVec:
         """Multiplication internal to another primitive: messages, no counter."""
         return self._mul_impl(x, y)
+
+    def require(self, x: ShareVec, ok, what: str) -> None:
+        """No check: the protocol never sees the words (see ``PlainEngine``)."""
 
     def assemble(self, shape, placements) -> ShareVec:
         base = self.zeros(shape)
@@ -941,6 +973,20 @@ class Mpc3Engine(_EngineBase):
         y = s ^ (s >> np.uint64(1))
         return self._open_bits(y, None if z is None else z ^ (z >> np.uint64(1)), mask, positions)
 
+    def eq_zero(self, d: ShareVec, nbits: int = 64) -> ShareVec:
+        """Shared [d == 0 mod 2^nbits]: open d + r with a width-``nbits``
+        mask r; d is zero there iff every opened low bit equals its mask
+        bit. Each equality b == m of a shared bit b and a public bit m is
+        b XOR (1 - m), local; an AND tree of the nbits - 1 multiplications
+        (``reduce_pairs``) joins them. Cost per element: ``nbits`` mask
+        bits and one opened word, 3 + ceil(log2 nbits) rounds.
+        """
+        m, mask = self.masked_open(d, nbits)
+        flip = np.uint64(1) - _pub_bits(m, range(nbits))
+        # b XOR f = f + (1 - 2f) b for the public bits f
+        same = self.add_const(self.mul_const_int(mask.bits, np.uint64(1) - flip - flip), flip)
+        return self.reduce_pairs(same, self._mul_raw)
+
     def trunc(self, x: ShareVec, g: int = F) -> ShareVec:
         """Exact arithmetic right shift by g bits of the shared 64-bit value.
 
@@ -966,9 +1012,12 @@ class Mpc3Engine(_EngineBase):
 
 
 class PlainEngine(_EngineBase):
-    """Trusted-aggregator backend: the same surface on plaintext words."""
+    """Trusted-aggregator backend: the same surface on plaintext words.
 
-    is_plain = True
+    Where the protocol extracts bits from a masked opening, this engine
+    reads them off the words; ``require`` checks the range contracts that
+    the protocol relies on but cannot see.
+    """
 
     def share(self, raws, owner: int = 0) -> PlainVec:
         return PlainVec(as_word(raws).copy())
@@ -1005,21 +1054,28 @@ class PlainEngine(_EngineBase):
         self.count("trunc", x.size)
         return PlainVec(trunc_word(x.raw, g))
 
-    def scale_pub(self, x: PlainVec, c: float) -> PlainVec:
-        """The engine's ``scale_pub``, failing closed with
-        ``RangeContractError`` when a non-integer constant meets a value
-        outside its contract (|value| < 2^15 and |value * c| < 2^15).
-        The protocol runs the same code on the same values, so a ``cdp``
-        run that passes certifies the ``mpc`` run."""
-        cf = float(c)
-        if cf != int(cf):
-            mag = np.abs(decode(x.raw))
-            if np.any(mag >= SCALE_PUB_LIMIT) \
-                    or np.any(mag * abs(cf) >= SCALE_PUB_LIMIT):
-                raise RangeContractError(
-                    f"scale_pub by {cf}: a value or its product has "
-                    f"magnitude >= 2^15")
-        return super().scale_pub(x, c)
+    def require(self, x: PlainVec, ok, what: str) -> None:
+        if not np.all(ok(x.raw)):
+            raise RangeContractError(what)
+
+    def value_bits(self, x: PlainVec, positions) -> PlainVec:
+        """Bits of the word x at bit ``positions``, stacked on a new
+        leading axis in that order."""
+        return PlainVec(_pub_bits(x.raw, tuple(positions)))
+
+    def msb_onehot(self, x: PlainVec, nbits: int) -> PlainVec:
+        """One-hot of the most significant set bit among bits 0..nbits-1
+        of x (all zeros when there is none): the suffix ORs s_j = OR of
+        bits j..nbits-1 by shifted ORs, then s ^ (s >> 1)."""
+        s = x.raw & np.uint64((1 << nbits) - 1)
+        for k in range(6):
+            s = s | (s >> np.uint64(1 << k))
+        return PlainVec(_pub_bits(s ^ (s >> np.uint64(1)), range(nbits)))
+
+    def eq_zero(self, d: PlainVec, nbits: int = 64) -> PlainVec:
+        """[d == 0]; equal to the protocol's [d == 0 mod 2^nbits] wherever
+        the caller's width contract holds."""
+        return PlainVec((d.raw == 0).astype(U64))
 
     def assemble(self, shape, placements) -> PlainVec:
         base = np.zeros(shape, dtype=U64)

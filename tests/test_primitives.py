@@ -103,8 +103,8 @@ def test_sec_eq_plain_fails_closed_outside_width():
     for nbits in (1, 2, 3, 10, 63):
         edge = np.uint64((1 << nbits) - 1)
         # |d| = 2^nbits - 1 is inside the contract, on either sign
-        assert int(prim.sec_eq(eng, eng.share(edge), 0, nbits=nbits).raw) == 0
-        assert int(prim.sec_eq(eng, eng.share(np.uint64(0)), edge, nbits=nbits).raw) == 0
+        assert int(eng.reconstruct(prim.sec_eq(eng, eng.share(edge), 0, nbits=nbits))) == 0
+        assert int(eng.reconstruct(prim.sec_eq(eng, eng.share(np.uint64(0)), edge, nbits=nbits))) == 0
         for x, c in ((edge + np.uint64(1), 0), (0, edge + np.uint64(1))):
             with pytest.raises(RangeContractError):
                 prim.sec_eq(eng, eng.share(np.uint64(x)), c, nbits=nbits)
@@ -385,10 +385,10 @@ def test_value_bits_and_msb_onehot_match_plaintext(backend, nbits):
     # long zero runs below the msb: the suffix-OR must span all nbits
     vals[2, :3] = [1 << (nbits - 1), (1 << (nbits - 1)) | 1, 1 << 32]
     x = eng.share(vals)
-    bits = eng.reconstruct(prim._value_bits(eng, x, range(nbits)))
+    bits = eng.reconstruct(eng.value_bits(x, range(nbits)))
     want_bits = (vals >> np.arange(nbits, dtype=np.uint64).reshape(-1, 1, 1)) & np.uint64(1)
     assert np.array_equal(bits, want_bits)
-    onehot = eng.reconstruct(prim._msb_onehot(eng, x, nbits))
+    onehot = eng.reconstruct(eng.msb_onehot(x, nbits))
     want = np.zeros_like(want_bits)
     for idx in np.ndindex(vals.shape):
         if vals[idx]:
@@ -405,7 +405,7 @@ def test_msb_onehot_round_count_log_depth():
         eng = Mpc3Engine(seed=63)
         x = eng.share(np.arange(5, dtype=np.uint64))
         before = eng.transcript.rounds
-        prim._msb_onehot(eng, x, nbits)
+        eng.msb_onehot(x, nbits)
         assert eng.transcript.rounds - before == 2 + 1 + 6 + 6, nbits
 
 
@@ -427,7 +427,7 @@ def test_log_depth_networks_records_data_independent():
         x = eng.share(fixed.encode(vals))
         prim.sec_ln(eng, x)
         prim.sec_sqrt(eng, x)
-        prim._value_bits(eng, eng.share(np.arange(vals.size, dtype=np.uint64)), range(34))
+        eng.value_bits(eng.share(np.arange(vals.size, dtype=np.uint64)), range(34))
         return eng.transcript.records
 
     rng = np.random.default_rng(66)
@@ -458,7 +458,7 @@ _SIGN_VALUES = np.array([0, -1, 1 << 30, -(1 << 30)], dtype=np.int64)
 def test_value_bits_at_63_is_the_sign_bit(backend, shape):
     eng = make_engine(backend, seed=67)
     vals = _SIGN_VALUES.reshape(shape)
-    bits = eng.reconstruct(prim._value_bits(eng, eng.share(vals.astype(np.uint64)), (63,)))
+    bits = eng.reconstruct(eng.value_bits(eng.share(vals.astype(np.uint64)), (63,)))
     assert bits.shape == (1,) + shape
     assert np.array_equal(bits[0], (vals < 0).astype(np.uint64))
     lt = eng.reconstruct(prim.sec_cmp(eng, eng.share(vals.astype(np.uint64)),
@@ -473,7 +473,7 @@ def test_value_bits_at_63_messages_match_a_lone_sign_network():
         eng = Mpc3Engine(seed=68, record_messages=True)
         d = eng.share(_SIGN_VALUES.astype(np.uint64).reshape(shape))
         start, skip = eng.transcript.rounds, len(eng.transcript.records)
-        prim._value_bits(eng, d, (63,))
+        eng.value_bits(d, (63,))
         got = [(r - start, s, t, b) for r, _, s, t, b in eng.transcript.records[skip:]]
         assert got == _sign_network_records(4), shape
         assert eng.transcript.counters["dabit"] == 4
@@ -507,8 +507,8 @@ def test_dabit_counter_closed_form():
     per_element = {
         "trunc": (lambda e, x: e.trunc(x, 16), 2),
         "sec_cmp": (lambda e, x: prim.sec_cmp(e, x, x, "GT"), 1),
-        "value_bits": (lambda e, x: prim._value_bits(e, x, range(34)), 34),
-        "msb_onehot": (lambda e, x: prim._msb_onehot(e, x, 39), 39),
+        "value_bits": (lambda e, x: e.value_bits(x, range(34)), 34),
+        "msb_onehot": (lambda e, x: e.msb_onehot(x, 39), 39),
         # 2 clamp comparisons, the msb one-hot and 9 truncations
         "sec_ln": (prim.sec_ln, 2 + 34 + 2 * 9),
         # 2 clamp comparisons, the msb one-hot and 19 truncations

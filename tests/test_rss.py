@@ -289,6 +289,69 @@ def test_scale_pub_plain_fails_closed_outside_contract():
     assert fixed.decode(eng.reconstruct(y)) == -300000.0
 
 
+def test_scale_pub_contract_fails_closed_through_require(monkeypatch):
+    # the edge test_scale_pub_plain_fails_closed_outside_contract pins is
+    # the oracle's require, called once per non-integer constant
+    seen = []
+    check = PlainEngine.require
+
+    def spy(self, x, ok, what):
+        seen.append(what)
+        return check(self, x, ok, what)
+
+    monkeypatch.setattr(PlainEngine, "require", spy)
+    eng = PlainEngine(seed=23)
+    eng.scale_pub(eng.share(fixed.encode(2.0**15 - 2.0**-16)), 0.5)
+    with pytest.raises(RangeContractError, match="^scale_pub by 0.5: "):
+        eng.scale_pub(eng.share(fixed.encode(2.0**15)), 0.5)
+    eng.scale_pub(eng.share(fixed.encode(2.0**15)), 3.0)
+    assert len(seen) == 2 and all(w.startswith("scale_pub by 0.5") for w in seen)
+
+
+def test_plain_require_raises_what():
+    eng = PlainEngine(seed=35)
+    x = eng.share(np.arange(4, dtype=np.uint64))
+    eng.require(x, lambda w: w < 4, "unused")
+    with pytest.raises(RangeContractError, match="^a word is 3 or more$"):
+        eng.require(x, lambda w: w < 3, "a word is 3 or more")
+
+
+def test_mpc_require_never_evaluates_its_predicate():
+    def unseen(words):
+        raise AssertionError("the protocol engine cannot see words")
+
+    eng = Mpc3Engine(seed=36)
+    eng.require(eng.share(np.arange(4, dtype=np.uint64)), unseen, "never raised")
+
+
+@pytest.mark.parametrize("backend", ("mpc", "cdp"))
+def test_eq_zero_every_difference_inside_the_width(backend):
+    for nbits in (1, 3, 8, 64):
+        eng = make_engine(backend, seed=37)
+        lim = 1 << min(nbits, 10)
+        d = np.arange(1 - lim, lim).astype(np.uint64)  # both signs, |d| < 2^nbits
+        got = eng.reconstruct(eng.eq_zero(eng.share(d), nbits))
+        assert np.array_equal(got, (d == 0).astype(np.uint64)), nbits
+        assert "eq" not in eng.transcript.counters  # sec_eq counts, not the engine
+
+
+@pytest.mark.parametrize("backend", ("mpc", "cdp"))
+def test_reduce_pairs_halves_in_len_minus_one_combines(backend):
+    for length in (1, 2, 5, 8, 13):
+        eng = make_engine(backend, seed=38)
+        halves = []
+
+        def combine(a, b):
+            halves.append(a.shape[0])
+            return eng.add(a, b)
+
+        vals = np.arange(3 * length, dtype=np.uint64).reshape(length, 3)
+        got = eng.reconstruct(eng.reduce_pairs(eng.share(vals), combine))
+        assert np.array_equal(got, vals.sum(axis=0, dtype=np.uint64)), length
+        assert sum(halves) == length - 1, length
+        assert len(halves) == (length - 1).bit_length(), length
+
+
 def test_scale_pub_just_inside_contract():
     top = 2.0**15 - 2.0**-16
     vals = np.array([top, -top, 32767.0, 3000.0, -3000.0])
