@@ -5,6 +5,10 @@ File formats are deliberately plain: comma-separated UTF-8 with a header
 row for data, and a JSON document {"attrs": [{name, cardinality, bins?,
 labels?}]} for the domain. Continuous attributes declare bin edges and
 are discretized on load; labeled attributes map strings to indices.
+A JSON input must have the objects, lists and integers its format names
+(an integer is a JSON integer, never a float or a bool); anything else
+raises ``IngestionError`` or ``ValueError`` naming the file, and is never
+coerced.
 """
 
 from __future__ import annotations
@@ -58,22 +62,44 @@ def discretize(col, edges=None, bins: int = 8) -> np.ndarray:
     return np.clip(idx, 0, len(edges) - 2).astype(np.int64)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: an int and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def load_domain(path):
     """Parse a domain JSON file into (Schema, label maps by attribute)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise IngestionError(f"domain file {path}: {e}") from e
-    if not isinstance(doc, dict) or "attrs" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("attrs"), list):
         raise IngestionError(f"domain file {path}: missing 'attrs' list")
     attrs, labels = [], {}
     for spec in doc["attrs"]:
+        if not isinstance(spec, dict):
+            raise IngestionError(
+                f"domain file {path}: attribute {json.dumps(spec)} is not an object")
         name = spec.get("name")
-        if not name:
-            raise IngestionError("every attribute needs a name")
+        if not name or not isinstance(name, str):
+            raise IngestionError(f"domain file {path}: every attribute needs a name")
         card = spec.get("cardinality")
         bins = spec.get("bins")
         labs = spec.get("labels")
+        if card is not None and not _is_int(card):
+            raise IngestionError(
+                f"domain file {path}: attribute {name!r}: cardinality "
+                f"{json.dumps(card)} is not an integer")
+        if bins is not None and not (isinstance(bins, list) and all(map(_is_number, bins))):
+            raise IngestionError(
+                f"domain file {path}: attribute {name!r}: bins must be a list of numbers")
+        if labs is not None and not isinstance(labs, list):
+            raise IngestionError(
+                f"domain file {path}: attribute {name!r}: labels must be a list")
         if bins is not None:
             if card is not None and card != len(bins) - 1:
                 raise IngestionError(
@@ -88,7 +114,7 @@ def load_domain(path):
         if card is None:
             raise IngestionError(
                 f"attribute {name!r}: needs cardinality, bins, or labels")
-        attrs.append(AttrDomain(name, int(card),
+        attrs.append(AttrDomain(name, card,
                                 tuple(bins) if bins is not None else None))
     return Schema(tuple(attrs)), labels
 
@@ -188,15 +214,23 @@ def partition(dataset: Dataset, mode: str, seed: int = 0):
             spec = json.loads(Path(arg).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as e:
             raise ValueError(f"mixed partition spec {arg!r}: {e}") from e
-        holdings = tuple(
-            Holding((int(h["rows"][0]), int(h["rows"][1])),
-                    tuple(int(a) for a in h["attrs"]))
-            for h in spec
-        )
-        plan = PartitionPlan(holdings)
+        if not isinstance(spec, list):
+            raise ValueError(f"mixed partition spec {arg!r}: not a list of holdings")
+        plan = PartitionPlan(tuple(_holding(h, arg) for h in spec))
         plan.validate(n, d)
         return dataset, plan
     raise ValueError(f"unknown partition mode {mode!r}")
+
+
+def _holding(h, arg: str) -> Holding:
+    """One mixed-spec entry {"rows": [start, stop], "attrs": [index, ...]}."""
+    if not (isinstance(h, dict) and isinstance(h.get("rows"), list)
+            and len(h["rows"]) == 2 and all(map(_is_int, h["rows"]))
+            and isinstance(h.get("attrs"), list) and all(map(_is_int, h["attrs"]))):
+        raise ValueError(
+            f"mixed partition spec {arg!r}: holding {json.dumps(h)} is not "
+            '{"rows": [start, stop], "attrs": [index, ...]} with integers')
+    return Holding(tuple(h["rows"]), tuple(h["attrs"]))
 
 
 def _parse_holder_count(arg: str, mode: str) -> int:
@@ -231,6 +265,13 @@ def load_workload(path, schema: Schema) -> Workload:
         raise IngestionError(f"workload file {path}: {e}") from e
     if isinstance(doc, list):
         doc = {"queries": doc}
+    if not isinstance(doc, dict):
+        raise IngestionError(f"workload file {path}: not an object or a list of queries")
+    queries, weights = doc.get("queries", []), doc.get("weights", [])
+    if not (isinstance(queries, list) and all(isinstance(q, list) for q in queries)):
+        raise IngestionError(f"workload file {path}: queries must be a list of lists")
+    if not (isinstance(weights, list) and all(map(_is_number, weights))):
+        raise IngestionError(f"workload file {path}: weights must be a list of numbers")
     by_name = {a.name: j for j, a in enumerate(schema.attrs)}
 
     def resolve(a):
@@ -238,7 +279,7 @@ def load_workload(path, schema: Schema) -> Workload:
             if a not in by_name:
                 raise IngestionError(f"unknown attribute {a!r} in workload")
             return by_name[a]
-        if isinstance(a, bool) or not isinstance(a, int):
+        if not _is_int(a):
             raise IngestionError(
                 f"attribute {json.dumps(a)} in workload is neither a name nor an integer index")
         j = a
@@ -247,10 +288,8 @@ def load_workload(path, schema: Schema) -> Workload:
                 f"attribute index {j} in workload is outside [0, {schema.dims})")
         return j
 
-    queries = tuple(Query(tuple(sorted(resolve(a) for a in q)))
-                    for q in doc.get("queries", []))
-    weights = tuple(float(w) for w in doc.get("weights", []))
-    return Workload(queries, weights)
+    return Workload(tuple(Query(tuple(sorted(resolve(a) for a in q))) for q in queries),
+                    tuple(float(w) for w in weights))
 
 
 @dataclass(frozen=True)

@@ -905,31 +905,19 @@ class Mpc3Engine(_EngineBase):
         """Borrows of (public m) - (shared r) for the mask r of
         ``masked_open``.
 
-        Row i of the result is the shared borrow *into* bit taps[i], so tap
-        64 is the overall borrow [m < r] and tap 0 is 0. The borrow into
-        bit t is bit t - 1 of the packed borrow word (``_borrow_word``):
-        ceil(log2 max(taps)) rounds, the last one fused with the opening
-        that makes the tapped bits arithmetic, so ``mask`` needs a daBit at
-        t - 1 for every tap t > 0. Taps 0 and 1 alone cost no round: the
-        borrow into bit 1 is (1 - m_0) r_0, local on the arithmetic mask
-        bits. The message pattern depends on the taps and the shape, never
-        on the data.
+        Row i of the result is the shared borrow *into* bit taps[i], a tap
+        in [1, 64], so tap 64 is the overall borrow [m < r]. The borrow
+        into bit t is bit t - 1 of the packed borrow word
+        (``_borrow_word``): ceil(log2 max(taps)) rounds, the last one fused
+        with the opening that makes the tapped bits arithmetic, so
+        ``mask`` needs a daBit at t - 1 for every tap t. The message
+        pattern depends on the taps and the shape, never on the data.
         """
         taps = tuple(int(t) for t in taps)
-        if any(not 0 <= t <= 64 for t in taps):
-            raise ValueError("tap outside the scanned positions")
-        depth = (max(max(taps), 1) - 1).bit_length()
-        lit = [i for i, t in enumerate(taps) if t]
-        if depth == 0:
-            rows = mask.bits.data[:, :, :1] * (np.uint64(1) - (m & np.uint64(1)))
-        else:
-            y, z = self._borrow_word(m, mask.word, depth)
-            rows = self._open_bits(y, z, mask, [taps[i] - 1 for i in lit]).data
-            if len(lit) == len(taps):
-                return ShareVec(rows)
-        out = np.zeros((3, 2, len(taps)) + np.shape(m), dtype=U64)
-        out[:, :, lit] = rows
-        return ShareVec(out)
+        if any(not 1 <= t <= 64 for t in taps):
+            raise ValueError("tap outside [1, 64]")
+        y, z = self._borrow_word(m, mask.word, (max(taps) - 1).bit_length())
+        return self._open_bits(y, z, mask, [t - 1 for t in taps])
 
     def value_bits(self, x: ShareVec, positions) -> ShareVec:
         """Shared bits of the word x at bit ``positions``, stacked on a new

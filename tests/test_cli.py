@@ -204,3 +204,43 @@ def test_gen_gaussian_epsilon_measure_one_exits_one(tmp_path, capsys,
     if code:
         assert "error: " in err and "epsilon_measure < 1" in err
     assert out.exists() == (code == 0)
+
+
+_TOY_ATTRS = json.loads(Path(TOY_DOMAIN).read_text())["attrs"]
+
+
+def _with_first_attr(**fields):
+    return {"attrs": [dict(_TOY_ATTRS[0], **fields)] + _TOY_ATTRS[1:]}
+
+
+@pytest.mark.parametrize("kind,doc", [
+    ("domain", {"attrs": {"a0": {"cardinality": 3}}}),
+    ("domain", {"attrs": ["a0", "a1"]}),
+    ("domain", _with_first_attr(labels=5)),
+    ("domain", _with_first_attr(cardinality=3.5)),
+    ("workload", {"queries": "ab"}),
+    ("mixed", [{"rows": [0, 2000]}]),
+])
+def test_malformed_input_file_exits_one(tmp_path, capsys, kind, doc):
+    # each of these once raised AttributeError, TypeError or KeyError
+    # (exit 2), or was coerced into a different input (exit 0)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "s.csv"
+    argv = ["gen", "--data", TOY_CSV, "--domain", TOY_DOMAIN, "--out", str(out),
+            "--backend", "cdp", "--algo", "mwem", "--rounds", "1"]
+    if kind == "domain":
+        argv[4] = str(path)
+    elif kind == "workload":  # one-letter names: "ab" reads as queries a and b
+        data, domain = tmp_path / "ab.csv", tmp_path / "ab_domain.json"
+        data.write_text("a,b\n" + "0,1\n1,0\n" * 20)
+        domain.write_text(json.dumps({"attrs": [{"name": "a", "cardinality": 2},
+                                                {"name": "b", "cardinality": 2}]}))
+        argv[2], argv[4] = str(data), str(domain)
+        argv += ["--workload", str(path)]
+    else:
+        argv += ["--partition", f"mixed:{path}"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not out.exists()

@@ -282,3 +282,30 @@ def test_make_toy_dataset_deterministic():
     b = make_toy_dataset(n=300, seed=4)
     assert np.array_equal(a.rows, b.rows)
     assert a.schema.dims == 5
+
+
+def test_json_inputs_reject_other_types(tmp_path):
+    # the forms the malformed-input CLI tests leave out, one per check
+    for i, attr in enumerate([{"name": 5, "cardinality": 2},
+                              {"name": "a", "bins": "0123"},
+                              {"name": "a", "bins": [0, "1", 2]},
+                              {"name": "a", "cardinality": True}]):
+        p = write(tmp_path, f"d{i}.json", json.dumps({"attrs": [attr]}))
+        with pytest.raises(IngestionError, match=str(p)):
+            load_domain(p)
+    schema = Schema((AttrDomain("age", 3), AttrDomain("sex", 2)))
+    for i, doc in enumerate([5, {"queries": [["age"]], "weights": "2"},
+                             {"queries": [["age"]], "weights": [True]},
+                             {"queries": ["age"]}]):
+        p = write(tmp_path, f"w{i}.json", json.dumps(doc))
+        with pytest.raises(IngestionError, match=str(p)):
+            load_workload(p, schema)
+    ds = _random_dataset(10, [2, 2], 0)
+    for i, spec in enumerate([{"rows": [0, 10], "attrs": [0, 1]},
+                              [{"rows": [0, 10.0], "attrs": [0, 1]}],
+                              [{"rows": [0, 10], "attrs": [0, 1.0]}],
+                              [{"rows": [0], "attrs": [0, 1]}],
+                              ["holder"]]):
+        p = write(tmp_path, f"m{i}.json", json.dumps(spec))
+        with pytest.raises(ValueError, match="mixed partition spec"):
+            partition(ds, f"mixed:{p}")

@@ -421,7 +421,7 @@ def _masked(eng, rng, shape, taps):
     (m, mask, r) with r the word the arithmetic mask bits encode."""
     x = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
     x = np.where(rng.random(shape) < 0.2, np.uint64(0), x)
-    m, mask = eng.masked_open(eng.share(x), dabits=[t - 1 for t in taps if t])
+    m, mask = eng.masked_open(eng.share(x), dabits=[t - 1 for t in taps])
     bits = eng.reconstruct(mask.bits)
     weights = (np.uint64(1) << np.arange(64, dtype=np.uint64)).reshape((64,) + (1,) * len(shape))
     return m, mask, np.sum(bits * weights, axis=0, dtype=np.uint64)
@@ -439,7 +439,7 @@ def _borrow_into(m, r, t):
 def test_borrow_taps_match_plaintext_borrow(shape):
     eng = Mpc3Engine(seed=27)
     rng = np.random.default_rng(27 + len(shape))
-    tap_sets = [[0], [1], [63], [64], list(range(34)), list(range(39))]
+    tap_sets = [[1], [63], [64], list(range(1, 34)), list(range(1, 39))]
     tap_sets += [[g, 64] for g in range(1, 64)]
     for taps in tap_sets:
         m, mask, r = _masked(eng, rng, shape, taps)
@@ -452,12 +452,20 @@ def test_borrow_taps_match_plaintext_borrow(shape):
 def test_borrow_taps_rounds_are_log_depth():
     eng = Mpc3Engine(seed=28)
     rng = np.random.default_rng(28)
-    for taps, depth in (([0], 0), ([1], 0), ([2], 1), ([63], 6), ([64], 6),
-                        ([6, 64], 6), (list(range(34)), 6), ([5], 3)):
+    for taps, depth in (([2], 1), ([63], 6), ([64], 6), ([6, 64], 6),
+                        (list(range(1, 34)), 6), ([5], 3)):
         m, mask, _ = _masked(eng, rng, (4,), taps)
         before = eng.transcript.rounds
         eng.borrow_taps(m, mask, taps)
         assert eng.transcript.rounds - before == depth, taps
+
+
+def test_borrow_taps_reject_taps_outside_1_to_64():
+    eng = Mpc3Engine(seed=28)
+    m, mask, _ = _masked(eng, np.random.default_rng(28), (4,), [63])
+    for taps in ([0], [0, 64], [65]):
+        with pytest.raises(ValueError, match="tap outside"):
+            eng.borrow_taps(m, mask, taps)
 
 
 def test_trunc_round_count_closed_form():
@@ -474,8 +482,8 @@ def test_trunc_round_count_closed_form():
 def test_borrow_network_records_data_independent():
     def run(x):
         eng = Mpc3Engine(seed=30, record_messages=True)
-        for taps in ([63], [30, 64], list(range(39))):
-            m, mask = eng.masked_open(eng.share(x), dabits=[t - 1 for t in taps if t])
+        for taps in ([63], [30, 64], list(range(1, 39))):
+            m, mask = eng.masked_open(eng.share(x), dabits=[t - 1 for t in taps])
             eng.borrow_taps(m, mask, taps)
         eng.trunc(eng.share(x), 26)
         return eng.transcript.records
