@@ -209,18 +209,27 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class SelectScoreParams:
-    """Scoring configuration for one selection round."""
+    """Scoring configuration for one selection round.
+
+    ``rows`` is the public row count n. Counts and model answers each sum
+    to n, so every L1 score lies in [0, 2n]; the score pre-shift
+    (``_score_shift``) is derived from that bound, and 0 rows means no
+    shift.
+    """
 
     algo: str  # "AIM" or "MWEM"
     epsilon_select: float
     bias: tuple = ()  # per-query expected noise mass, AIM only
     max_sensitivity: float = 1.0
+    rows: int = 0
 
     def __post_init__(self):
         if self.algo not in ("AIM", "MWEM"):
             raise ValueError(f"unknown selection algorithm {self.algo!r}")
         if self.algo == "AIM" and not self.max_sensitivity > 0:
             raise ValueError("AIM max-sensitivity must be positive")
+        if any(b < 0 for b in self.bias):
+            raise ValueError("AIM bias terms must be nonnegative")
 
 
 def expected_noise_l1(noise_kind: str, scale: float, cells: int) -> float:
@@ -243,34 +252,56 @@ def _aim_scales(params: SelectScoreParams, workload: Workload):
     return scale, weights
 
 
-def _check_aim_scale(n: int, params: SelectScoreParams,
-                     workload: Workload) -> None:
-    """Raise ``ValueError`` when public values alone guarantee that AIM's
-    score scaling breaks scale_pub's range (|x| and |x * c| below 2^15).
+def _score_shift(params: SelectScoreParams, workload: Workload) -> int:
+    """Bits k by which selection shifts its scores right before scaling
+    them: the smallest k >= 0 that puts the public bound on every value
+    scale_pub sees below 2^(15 + k).
 
-    Counts and model answers each sum to n, so a query's L1 lies in
-    [0, 2n]; one count of slack covers the model's normalization
-    tolerance and the fixed-point rounding of its answers. With uniform
-    weights, the max-shifted score of the query with the largest bias is
-    then at least max bias - min bias - 2n in magnitude; with non-uniform
-    weights, query q's L1 - b_q is at least b_q - 2n before its
-    weight w_q scales it. Integer scales are exact ring multiplies
-    without that range and are never rejected. A run that passes can
-    still break the range on its data, which the plaintext oracle checks
-    as it runs.
+    A query's L1 lies in [0, 2n + 1]: one count of slack covers the
+    model's normalization tolerance and the fixed-point rounding of its
+    answers. MWEM's max-shifted scores are then within 2n + 1 of 0.
+    AIM's uniform-weight scores L1 - b_q are within 2n + 1 + (max bias -
+    min bias). Non-uniform weights w_q scale each L1 - b_q in
+    [-b_q, 2n + 1 - b_q], so the weighted scores, their products and their
+    max-shifted span are all within max(1, max w) * (2n + 1 + max bias).
+    """
+    bound = 2 * params.rows + 1
+    if params.algo == "AIM":
+        _, weights = _aim_scales(params, workload)
+        if weights is None:
+            bound += max(params.bias) - min(params.bias)
+        else:
+            bound = (bound + max(params.bias)) * max(1.0, *weights)
+    k = 0
+    while bound >= SCALE_PUB_LIMIT * 2**k:
+        k += 1
+    return k
+
+
+def _check_aim_scale(params: SelectScoreParams, workload: Workload) -> None:
+    """Raise ``ValueError`` when public values alone guarantee that AIM's
+    exponent scaling breaks scale_pub's product bound |x * c| < 2^15.
+
+    With weights w_q (1 each when uniform: they fold into the exponent
+    scale), query q's weighted score lies in [-w_q b_q, w_q (2n + 1 - b_q)],
+    so whatever the data, the max-shifted scores span at least
+    max_q w_q (b_q - 2n - 1) - min_q w_q b_q. The pre-shift by k bits
+    (``_score_shift``) keeps |x| in range and scales by c * 2^k, which
+    leaves the product x * c as it was. An integer c * 2^k is an exact
+    ring multiply without that range and is never rejected. A run that
+    passes can still break the range on its data, which the plaintext
+    oracle checks as it runs.
     """
     exponent_scale, weights = _aim_scales(params, workload)
-    l1_max = 2 * n + 1
-    if weights is None:
-        floors = [(max(params.bias) - min(params.bias) - l1_max,
-                   exponent_scale)]
-    else:
-        floors = [(b - l1_max, w) for b, w in zip(params.bias, weights)]
-    for floor, c in floors:
-        if c != int(c) and floor * max(1.0, abs(c)) >= SCALE_PUB_LIMIT:
-            raise ValueError(
-                f"AIM scores at least {floor:.6g} in magnitude, scaled by "
-                f"{c:.6g}, reach 2^15, outside scale_pub's range")
+    weights = weights or [1.0] * len(params.bias)
+    l1_max = 2 * params.rows + 1
+    span = max(w * (b - l1_max) for w, b in zip(weights, params.bias)) \
+        - min(w * b for w, b in zip(weights, params.bias))
+    c = exponent_scale * 2**_score_shift(params, workload)
+    if c != int(c) and span * abs(exponent_scale) >= SCALE_PUB_LIMIT:
+        raise ValueError(
+            f"AIM scores at least {span:.6g} apart, scaled by "
+            f"{exponent_scale:.6g}, reach 2^15, outside scale_pub's range")
 
 
 def _selection_weights(eng, shared_counts, model_answers, workload, params):
@@ -285,6 +316,11 @@ def _selection_weights(eng, shared_counts, model_answers, workload, params):
     up each query's cells. Ring sums are exact mod 2^64, so the scores
     are the words that per-query sums give. Uniform query weights fold
     into the exponent scale instead of costing a truncation each.
+
+    Where the public score bound reaches scale_pub's 2^15 (from n =
+    16,384 on), one batched truncation shifts the L1 scores right by k
+    bits (``_score_shift``); the bias is subtracted in the shifted domain
+    and the exponent scale grows by 2^k. At k = 0 nothing is shifted.
     """
     starts = np.cumsum([0] + [c.shape[0] for c in shared_counts[:-1]])
     answers = np.concatenate([np.asarray(a, dtype=np.float64)
@@ -295,10 +331,13 @@ def _selection_weights(eng, shared_counts, model_answers, workload, params):
     neg = sec_cmp(eng, flat, eng.zeros(flat.shape), "LT")
     sgn = eng.add_const(eng.mul_const_int(neg, -2), np.asarray(1))
     scores = eng.sum_segments(eng.mul(sgn, flat), starts)
+    k = _score_shift(params, workload)
+    if k:
+        scores = eng.trunc(scores, k)
     if params.algo == "AIM":
         exponent_scale, weights = _aim_scales(params, workload)
-        scores = eng.sub_const(scores, encode(np.asarray(params.bias,
-                                                         dtype=np.float64)))
+        scores = eng.sub_const(scores, encode(
+            np.asarray(params.bias, dtype=np.float64) / 2**k))
         if weights is not None:
             scores = eng.concat(
                 [eng.scale_pub(eng.index(scores, slice(i, i + 1)), weights[i])
@@ -309,7 +348,7 @@ def _selection_weights(eng, shared_counts, model_answers, workload, params):
         exponent_scale = 0.5 * params.epsilon_select
     top = eng.broadcast_to(sec_max(eng, scores), scores.shape)
     shifted = eng.sub(scores, top)
-    return sec_softmax_unnorm(eng, eng.scale_pub(shifted, exponent_scale))
+    return sec_softmax_unnorm(eng, eng.scale_pub(shifted, exponent_scale * 2**k))
 
 
 def select_aim(eng, shared_counts, model_answers, workload: Workload,
@@ -325,9 +364,10 @@ def select_aim(eng, shared_counts, model_answers, workload: Workload,
 
 
 def select_mwem(eng, shared_counts, model_answers, workload: Workload,
-                epsilon_select: float) -> Query:
-    """One MWEM selection round (unweighted L1 utility)."""
-    params = SelectScoreParams("MWEM", epsilon_select)
+                epsilon_select: float, rows: int = 0) -> Query:
+    """One MWEM selection round (unweighted L1 utility) over ``rows``
+    public rows (see ``SelectScoreParams``)."""
+    params = SelectScoreParams("MWEM", epsilon_select, rows=rows)
     with eng.scope("select"):
         weights = _selection_weights(eng, shared_counts, model_answers,
                                      workload, params)
@@ -427,7 +467,7 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
     (``PrivacyBudget.measure_scale``), when the noise scale times the
     sampler's tail bound (``NOISE_TAIL``) reaches scale_pub's 2^15 range,
     where the scaled noise would wrap, and when AIM's public biases and
-    scales alone guarantee that its score scaling leaves that range
+    scales alone guarantee that its exponent scaling leaves that range
     (``_check_aim_scale``).
     """
     schema = dataset.schema
@@ -452,9 +492,9 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
     bias = tuple(expected_noise_l1(noise_kind, scale, q.size(schema))
                  for q in workload.queries)
     params = SelectScoreParams("AIM", eps_select, bias,
-                               max(workload.weights)) if algo == "AIM" else None
+                               max(workload.weights), n) if algo == "AIM" else None
     if algo == "AIM":
-        _check_aim_scale(n, params, workload)
+        _check_aim_scale(params, workload)
 
     eng = make_engine(backend, seed=seed)
     answers = compute_workload_answers(eng, dataset, plan, workload)
@@ -471,7 +511,7 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
             selected = select_aim(eng, shared_counts, model, workload, params)
         else:
             selected = select_mwem(eng, shared_counts, model, workload,
-                                   eps_select)
+                                   eps_select, n)
         qi = workload.queries.index(selected)
         counts = shared_counts[qi]
         noise_share = eng.index(

@@ -477,6 +477,69 @@ def test_selection_weights_one_pass_matches_per_query(backend, algo, weights):
             assert one.transcript.records == ref.transcript.records, inst
 
 
+def test_score_shift_edges():
+    # the smallest k with the public score bound below 2^(15 + k)
+    one = Workload((Query((0,)), Query((1,))))
+    for rows, k in ((0, 0), (16_383, 0), (16_384, 1), (32_767, 1), (32_768, 2)):
+        assert pipeline._score_shift(
+            SelectScoreParams("MWEM", 1.0, rows=rows), one) == k, rows
+    # AIM, uniform weights: 2n + 1 plus the bias spread
+    for bias, k in (((5.0, 32_771.0), 0), ((5.0, 32_772.0), 1)):
+        params = SelectScoreParams("AIM", 1.0, bias, 1.0, rows=0)
+        assert pipeline._score_shift(params, one) == k, bias
+    # non-uniform weights: (2n + 1 + max bias) times the largest weight
+    weighted = Workload(one.queries, (0.5, 2.0))
+    for bias, k in (((0.0, 16_382.0), 0), ((0.0, 16_383.0), 1)):
+        params = SelectScoreParams("AIM", 1.0, bias, 2.0, rows=0)
+        assert pipeline._score_shift(params, weighted) == k, bias
+    with pytest.raises(ValueError, match="nonnegative"):
+        SelectScoreParams("AIM", 1.0, (-1.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("rows,k", [(16_383, 0), (16_384, 1)])
+@pytest.mark.parametrize("algo", ["MWEM", "AIM"])
+def test_selection_weights_at_the_shift_edge(algo, rows, k):
+    # every row in one of 64 cells against a uniform model: L1 = 2n * 63/64,
+    # 32,255 and 32,256 at the edge; a second query whose model is exact
+    wl = Workload((Query((0,)), Query((1,))))
+    far = np.zeros(64, dtype=np.int64)
+    far[0] = rows
+    exact = np.full(64, rows // 64)
+    exact[: rows % 64] += 1
+    model = [np.full(64, rows / 64), exact.astype(np.float64)]
+    params = SelectScoreParams(algo, 0.0008, (1.0, 1.0) if algo == "AIM" else (),
+                               1.0, rows=rows)
+    assert pipeline._score_shift(params, wl) == k
+    words = []
+    for backend in BACKENDS:
+        eng = make_engine(backend, seed=12)
+        out = pipeline._selection_weights(
+            eng, share_counts(eng, [far, exact]), model, wl, params)
+        words.append(eng.reconstruct(out))
+    assert np.array_equal(words[0], words[1])
+    want = np.exp([0.0, -0.0004 * 2 * rows * 63 / 64])
+    assert np.max(np.abs(fixed.decode(words[1]) - want)) < 2.0**-10
+
+
+@pytest.mark.parametrize("algo", ["MWEM", "AIM"])
+def test_run_pipeline_40k_rows_backends_agree(algo):
+    # a constant attribute and a uniform one: the first round's scores lie
+    # 64,000 apart, which unshifted broke scale_pub's |x| < 2^15 (the
+    # oracle raised RangeContractError); shifted by k = 2 they fit
+    n = 40_000
+    rows = np.column_stack([np.zeros(n, dtype=np.int64), np.arange(n) % 5])
+    ds = Dataset(rows, small_schema((5, 5)))
+    wl = Workload((Query((0,)), Query((1,))))
+    runs = [run_pipeline(ds, horizontal_plan(n, 2, 2), wl,
+                         PrivacyBudget(1.0, 1e-9, 2), algo=algo,
+                         noise_kind="laplace-sign", backend=backend, seed=4)
+            for backend in BACKENDS]
+    (synth_m, log_m), (synth_c, log_c) = runs
+    assert np.array_equal(synth_m.rows, synth_c.rows)
+    assert log_m["rounds"] == log_c["rounds"]
+    assert log_c["rounds"][0]["selected_query"] == [0]
+
+
 def test_aim_bias_centers_noise_scores():
     # zero true error: scores over noise draws should average at or
     # below zero once the expected noise mass is subtracted
@@ -709,43 +772,84 @@ def _aim_edge_instance():
     return ds, horizontal_plan(200, 3, 2), (Query((2,)), Query((0, 1)))
 
 
+def _aim_wide_instance():
+    # 200 rows over (2, 108, 118), queries (0,) and (1, 2): biases of 2
+    # and 12,744 cells at the noise scale, against the L1 bound 2n + 1 = 401
+    cards = (2, 108, 118)
+    rng = np.random.default_rng(5)
+    ds = Dataset(rng.integers(0, list(cards), size=(200, 3)),
+                 small_schema(cards))
+    return ds, horizontal_plan(200, 3, 2), (Query((0,)), Query((1, 2)))
+
+
 def _aim_run(ds, plan, wl, epsilon, backend):
     return run_pipeline(ds, plan, wl, PrivacyBudget(epsilon, 1e-9, 1),
                         algo="AIM", noise_kind="gaussian-irwin-hall",
                         backend=backend, seed=3)
 
 
+def _wide_epsilon_at_product(product, weights):
+    """epsilon_total of one round at which the exponent product that the
+    data cannot avoid on ``_aim_wide_instance`` equals ``product``.
+
+    With e = epsilon_select = epsilon_measure, a cell's noise mass is
+    m = sqrt(2/pi) s0 / e for s0 = sqrt(2 ln(1.25/delta)). The scores
+    w (L1 - C m) of the 2-cell (w_s) and the 12,744-cell (w_b) query lie
+    at least w_b (12,744 m - 401) - 2 w_s m apart, and the exponent scale
+    is e / (2 max w); their product is A - w_b 401 e / (2 max w) with A
+    free of e.
+    """
+    w_s, w_b = weights or (1.0, 1.0)
+    half_w = 2 * max(w_s, w_b)
+    s0 = math.sqrt(2 * math.log(1.25e9))
+    a = (12744 * w_b - 2 * w_s) * math.sqrt(2 / math.pi) * s0 / half_w
+    return Fraction(2 * (a - product) * half_w / (401 * w_b))
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_run_pipeline_aim_scale_fails_closed(monkeypatch, backend):
-    # sigma = 2,589: the noise passes its own check (6 sigma < 2^15), but
-    # the 25-cell query's bias exceeds the 2-cell one's by 47.5k, so its
-    # shifted score is below -2^15 whatever the data
-    ds, plan, queries = _aim_edge_instance()
+    # sigma = 64.7: the noise passes its own check (6 sigma < 2^15), but
+    # the 12,744-cell query's bias exceeds the 2-cell one's by 658k, so
+    # its max-shifted score times the exponent scale 0.05 is below -2^15
+    # whatever the data
+    ds, plan, queries = _aim_wide_instance()
     monkeypatch.setattr(pipeline, "make_engine", _engine_created)
     with pytest.raises(ValueError, match="2\\^15"):
-        _aim_run(ds, plan, Workload(queries), Fraction(1, 200), backend)
+        _aim_run(ds, plan, Workload(queries), Fraction(1, 5), backend)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("weights", [(), (0.5, 1.5)])
 def test_run_pipeline_aim_scale_edge(monkeypatch, backend, weights):
-    ds, plan, queries = _aim_edge_instance()
+    ds, plan, queries = _aim_wide_instance()
     wl = Workload(queries, weights)
-    unit = PrivacyBudget(1, 1e-9, 1).measure_scale("gaussian-irwin-hall")
-    per_sigma = math.sqrt(2.0 / math.pi)
     monkeypatch.setattr(pipeline, "make_engine", _engine_created)
     for side in (0.999, 1.001):
-        if weights:  # the 25-cell query alone: (b - 2n) * 1.5 at the edge
-            sigma = (side * 2**15 / 1.5 + 400) / (25 * per_sigma)
-        else:  # uniform: (max bias - min bias - 2n) at the edge
-            sigma = (side * 2**15 + 400) / (23 * per_sigma)
-        assert 6 * sigma < 2**15  # inside the noise range either way
+        epsilon = _wide_epsilon_at_product(side * 2**15, weights)
+        budget = PrivacyBudget(epsilon, 1e-9, 1)
+        assert 0 < budget.epsilon_measure < 1  # a valid Gaussian budget
+        assert 6 * budget.measure_scale("gaussian-irwin-hall") < 2**15
         if side < 1:
             with pytest.raises(_EngineCreated):
-                _aim_run(ds, plan, wl, Fraction(unit / sigma), backend)
+                _aim_run(ds, plan, wl, epsilon, backend)
         else:
             with pytest.raises(ValueError, match="AIM scores"):
-                _aim_run(ds, plan, wl, Fraction(unit / sigma), backend)
+                _aim_run(ds, plan, wl, epsilon, backend)
+
+
+def test_run_pipeline_aim_wide_bias_spread_runs_shifted():
+    # sigma = 2,589 spreads the biases by 47.5k, which took |x| past
+    # 2^15 unshifted: the scores now shift by one bit and both backends
+    # agree
+    ds, plan, queries = _aim_edge_instance()
+    runs = [_aim_run(ds, plan, Workload(queries), Fraction(1, 200), backend)
+            for backend in BACKENDS]
+    (synth_m, log_m), (synth_c, log_c) = runs
+    assert np.array_equal(synth_m.rows, synth_c.rows)
+    assert log_m["rounds"] == log_c["rounds"]
+    counters = log_c["transcript_summary"]["counters"]
+    assert counters == {k: v for k, v in log_m["transcript_summary"]["counters"].items()
+                        if k in counters}
 
 
 def test_run_pipeline_backend_equivalence():
