@@ -209,19 +209,12 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class SelectScoreParams:
-    """Scoring configuration for one selection round.
-
-    ``rows`` is the public row count n. Counts and model answers each sum
-    to n, so every L1 score lies in [0, 2n]; the score pre-shift
-    (``_score_shift``) is derived from that bound, and 0 rows means no
-    shift.
-    """
+    """Scoring configuration for one selection round."""
 
     algo: str  # "AIM" or "MWEM"
     epsilon_select: float
     bias: tuple = ()  # per-query expected noise mass, AIM only
     max_sensitivity: float = 1.0
-    rows: int = 0
 
     def __post_init__(self):
         if self.algo not in ("AIM", "MWEM"):
@@ -252,20 +245,22 @@ def _aim_scales(params: SelectScoreParams, workload: Workload):
     return scale, weights
 
 
-def _score_shift(params: SelectScoreParams, workload: Workload) -> int:
+def _score_shift(n: int, params: SelectScoreParams,
+                 workload: Workload) -> int:
     """Bits k by which selection shifts its scores right before scaling
     them: the smallest k >= 0 that puts the public bound on every value
     scale_pub sees below 2^(15 + k).
 
-    A query's L1 lies in [0, 2n + 1]: one count of slack covers the
-    model's normalization tolerance and the fixed-point rounding of its
+    Counts and model answers each sum to the row count n, so a query's
+    L1 lies in [0, 2n + 1]: one count of slack covers the model's
+    normalization tolerance and the fixed-point rounding of its
     answers. MWEM's max-shifted scores are then within 2n + 1 of 0.
     AIM's uniform-weight scores L1 - b_q are within 2n + 1 + (max bias -
     min bias). Non-uniform weights w_q scale each L1 - b_q in
     [-b_q, 2n + 1 - b_q], so the weighted scores, their products and their
     max-shifted span are all within max(1, max w) * (2n + 1 + max bias).
     """
-    bound = 2 * params.rows + 1
+    bound = 2 * n + 1
     if params.algo == "AIM":
         _, weights = _aim_scales(params, workload)
         if weights is None:
@@ -278,7 +273,8 @@ def _score_shift(params: SelectScoreParams, workload: Workload) -> int:
     return k
 
 
-def _check_aim_scale(params: SelectScoreParams, workload: Workload) -> None:
+def _check_aim_scale(n: int, params: SelectScoreParams,
+                     workload: Workload) -> None:
     """Raise ``ValueError`` when public values alone guarantee that AIM's
     exponent scaling breaks scale_pub's product bound |x * c| < 2^15.
 
@@ -294,10 +290,10 @@ def _check_aim_scale(params: SelectScoreParams, workload: Workload) -> None:
     """
     exponent_scale, weights = _aim_scales(params, workload)
     weights = weights or [1.0] * len(params.bias)
-    l1_max = 2 * params.rows + 1
+    l1_max = 2 * n + 1
     span = max(w * (b - l1_max) for w, b in zip(weights, params.bias)) \
         - min(w * b for w, b in zip(weights, params.bias))
-    c = exponent_scale * 2**_score_shift(params, workload)
+    c = exponent_scale * 2**_score_shift(n, params, workload)
     if c != int(c) and span * abs(exponent_scale) >= SCALE_PUB_LIMIT:
         raise ValueError(
             f"AIM scores at least {span:.6g} apart, scaled by "
@@ -318,9 +314,10 @@ def _selection_weights(eng, shared_counts, model_answers, workload, params):
     into the exponent scale instead of costing a truncation each.
 
     Where the public score bound reaches scale_pub's 2^15 (from n =
-    16,384 on), one batched truncation shifts the L1 scores right by k
-    bits (``_score_shift``); the bias is subtracted in the shifted domain
-    and the exponent scale grows by 2^k. At k = 0 nothing is shifted.
+    16,384 rows on; every query's model answers sum to n), one batched
+    truncation shifts the L1 scores right by k bits (``_score_shift``);
+    the bias is subtracted in the shifted domain and the exponent scale
+    grows by 2^k. At k = 0 nothing is shifted.
     """
     starts = np.cumsum([0] + [c.shape[0] for c in shared_counts[:-1]])
     answers = np.concatenate([np.asarray(a, dtype=np.float64)
@@ -331,7 +328,7 @@ def _selection_weights(eng, shared_counts, model_answers, workload, params):
     neg = sec_cmp(eng, flat, eng.zeros(flat.shape), "LT")
     sgn = eng.add_const(eng.mul_const_int(neg, -2), np.asarray(1))
     scores = eng.sum_segments(eng.mul(sgn, flat), starts)
-    k = _score_shift(params, workload)
+    k = _score_shift(round(float(np.sum(model_answers[0]))), params, workload)
     if k:
         scores = eng.trunc(scores, k)
     if params.algo == "AIM":
@@ -364,10 +361,9 @@ def select_aim(eng, shared_counts, model_answers, workload: Workload,
 
 
 def select_mwem(eng, shared_counts, model_answers, workload: Workload,
-                epsilon_select: float, rows: int = 0) -> Query:
-    """One MWEM selection round (unweighted L1 utility) over ``rows``
-    public rows (see ``SelectScoreParams``)."""
-    params = SelectScoreParams("MWEM", epsilon_select, rows=rows)
+                epsilon_select: float) -> Query:
+    """One MWEM selection round (unweighted L1 utility)."""
+    params = SelectScoreParams("MWEM", epsilon_select)
     with eng.scope("select"):
         weights = _selection_weights(eng, shared_counts, model_answers,
                                      workload, params)
@@ -492,9 +488,9 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
     bias = tuple(expected_noise_l1(noise_kind, scale, q.size(schema))
                  for q in workload.queries)
     params = SelectScoreParams("AIM", eps_select, bias,
-                               max(workload.weights), n) if algo == "AIM" else None
+                               max(workload.weights)) if algo == "AIM" else None
     if algo == "AIM":
-        _check_aim_scale(params, workload)
+        _check_aim_scale(n, params, workload)
 
     eng = make_engine(backend, seed=seed)
     answers = compute_workload_answers(eng, dataset, plan, workload)
@@ -511,7 +507,7 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
             selected = select_aim(eng, shared_counts, model, workload, params)
         else:
             selected = select_mwem(eng, shared_counts, model, workload,
-                                   eps_select, n)
+                                   eps_select)
         qi = workload.queries.index(selected)
         counts = shared_counts[qi]
         noise_share = eng.index(

@@ -39,9 +39,9 @@ the two engines share the "noise"-purpose randomness streams and all
 revealed MPC values are deterministic in the inputs (masks and resharing
 randomness cancel), running the same protocol code on either engine
 yields bit-identical results. It is the plaintext oracle's only home:
-the bit extractions and the equality test that the protocol computes on
-masked openings, it computes directly on the words, and ``require``,
-where every range contract is checked, fails closed only there.
+it reads directly off the words the bits and equalities that the
+protocol computes from masked openings, and it alone evaluates
+``require``, where every range contract is checked.
 """
 
 from __future__ import annotations

@@ -222,8 +222,8 @@ def _with_first_attr(**fields):
     ("mixed", [{"rows": [0, 2000]}]),
 ])
 def test_malformed_input_file_exits_one(tmp_path, capsys, kind, doc):
-    # each of these once raised AttributeError, TypeError or KeyError
-    # (exit 2), or was coerced into a different input (exit 0)
+    # without the format checks, each of these raises AttributeError,
+    # TypeError or KeyError (exit 2) or is coerced into another input
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "s.csv"

@@ -481,17 +481,16 @@ def test_score_shift_edges():
     # the smallest k with the public score bound below 2^(15 + k)
     one = Workload((Query((0,)), Query((1,))))
     for rows, k in ((0, 0), (16_383, 0), (16_384, 1), (32_767, 1), (32_768, 2)):
-        assert pipeline._score_shift(
-            SelectScoreParams("MWEM", 1.0, rows=rows), one) == k, rows
+        assert pipeline._score_shift(rows, SelectScoreParams("MWEM", 1.0), one) == k, rows
     # AIM, uniform weights: 2n + 1 plus the bias spread
     for bias, k in (((5.0, 32_771.0), 0), ((5.0, 32_772.0), 1)):
-        params = SelectScoreParams("AIM", 1.0, bias, 1.0, rows=0)
-        assert pipeline._score_shift(params, one) == k, bias
+        params = SelectScoreParams("AIM", 1.0, bias, 1.0)
+        assert pipeline._score_shift(0, params, one) == k, bias
     # non-uniform weights: (2n + 1 + max bias) times the largest weight
     weighted = Workload(one.queries, (0.5, 2.0))
     for bias, k in (((0.0, 16_382.0), 0), ((0.0, 16_383.0), 1)):
-        params = SelectScoreParams("AIM", 1.0, bias, 2.0, rows=0)
-        assert pipeline._score_shift(params, weighted) == k, bias
+        params = SelectScoreParams("AIM", 1.0, bias, 2.0)
+        assert pipeline._score_shift(0, params, weighted) == k, bias
     with pytest.raises(ValueError, match="nonnegative"):
         SelectScoreParams("AIM", 1.0, (-1.0, 0.0), 1.0)
 
@@ -507,9 +506,8 @@ def test_selection_weights_at_the_shift_edge(algo, rows, k):
     exact = np.full(64, rows // 64)
     exact[: rows % 64] += 1
     model = [np.full(64, rows / 64), exact.astype(np.float64)]
-    params = SelectScoreParams(algo, 0.0008, (1.0, 1.0) if algo == "AIM" else (),
-                               1.0, rows=rows)
-    assert pipeline._score_shift(params, wl) == k
+    params = SelectScoreParams(algo, 0.0008, (1.0, 1.0) if algo == "AIM" else ())
+    assert pipeline._score_shift(rows, params, wl) == k
     words = []
     for backend in BACKENDS:
         eng = make_engine(backend, seed=12)
@@ -524,8 +522,8 @@ def test_selection_weights_at_the_shift_edge(algo, rows, k):
 @pytest.mark.parametrize("algo", ["MWEM", "AIM"])
 def test_run_pipeline_40k_rows_backends_agree(algo):
     # a constant attribute and a uniform one: the first round's scores lie
-    # 64,000 apart, which unshifted broke scale_pub's |x| < 2^15 (the
-    # oracle raised RangeContractError); shifted by k = 2 they fit
+    # 64,000 apart, past scale_pub's |x| < 2^15 unless the scores are
+    # shifted; k = 2 bits bring them in range
     n = 40_000
     rows = np.column_stack([np.zeros(n, dtype=np.int64), np.arange(n) % 5])
     ds = Dataset(rows, small_schema((5, 5)))
@@ -838,9 +836,9 @@ def test_run_pipeline_aim_scale_edge(monkeypatch, backend, weights):
 
 
 def test_run_pipeline_aim_wide_bias_spread_runs_shifted():
-    # sigma = 2,589 spreads the biases by 47.5k, which took |x| past
-    # 2^15 unshifted: the scores now shift by one bit and both backends
-    # agree
+    # sigma = 2,589 spreads the biases by 47.5k, which puts |x| past 2^15
+    # unless the scores are shifted: they shift by one bit, and both
+    # backends agree
     ds, plan, queries = _aim_edge_instance()
     runs = [_aim_run(ds, plan, Workload(queries), Fraction(1, 200), backend)
             for backend in BACKENDS]
