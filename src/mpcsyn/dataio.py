@@ -43,20 +43,14 @@ class MetricError(ValueError):
     """Metric inputs are unusable (empty data or schema mismatch)."""
 
 
-def discretize(col, edges=None, bins: int = 8) -> np.ndarray:
+def discretize(col, edges) -> np.ndarray:
     """Bin a real column into half-open intervals [e_i, e_{i+1}).
 
-    Out-of-range values clamp to the first/last bin. Without explicit
-    edges, uses equal-width bins spanning the column's min..max.
+    Out-of-range values clamp to the first/last bin.
     """
     col = np.asarray(col, dtype=np.float64)
     if not np.all(np.isfinite(col)):
         raise IngestionError("continuous column contains non-finite values")
-    if edges is None:
-        lo, hi = float(col.min()), float(col.max())
-        if hi <= lo:
-            hi = lo + 1.0
-        edges = np.linspace(lo, hi, bins + 1)
     edges = np.asarray(edges, dtype=np.float64)
     idx = np.searchsorted(edges, col, side="right") - 1
     return np.clip(idx, 0, len(edges) - 2).astype(np.int64)
@@ -244,10 +238,8 @@ def _parse_holder_count(arg: str, mode: str) -> int:
     return holders
 
 
-def build_workload(schema: Schema, kind: str = "all-2way") -> Workload:
-    """Standard workloads; all-2way is every singleton plus every pair."""
-    if kind != "all-2way":
-        raise ValueError(f"unknown workload kind {kind!r}")
+def build_workload(schema: Schema) -> Workload:
+    """The all-2way workload: every singleton plus every pair."""
     d = schema.dims
     queries = [Query((j,)) for j in range(d)]
     queries += [Query(pair) for pair in combinations(range(d), 2)]

@@ -200,13 +200,6 @@ class PartitionPlan:
         if (cover > 1).any():
             raise CoverageError("holdings overlap")
 
-    def mode(self, n: int, d: int) -> str:
-        if all(h.attrs == tuple(range(d)) for h in self.holders):
-            return "horizontal"
-        if all(h.rows == (0, n) for h in self.holders):
-            return "vertical"
-        return "mixed"
-
 
 def horizontal_plan(n: int, d: int, n_holders: int) -> PartitionPlan:
     """Split rows as evenly as possible; every holder owns all attributes."""

@@ -102,10 +102,9 @@ def pi_rc(eng, weights):
         t = eng.trunc(eng.mul(total, r))
         above = sec_cmp(eng, cum, eng.broadcast_to(t, cum.shape), "GT")
         k = eng.sum_axis(above, axis=0)
-        # s = |Q| - (k-1), with the k = 0 edge masked to s = |Q|
-        nonzero = eng.sub(eng.const_vec(np.uint64(1)), sec_eq(eng, k, 0))
-        stride = eng.mul(eng.add_const(k, np.asarray(-1)), nonzero)
-        return eng.add_const(eng.neg(stride), np.uint64(q_len))
+        # t = trunc(total * r) < total for r < 1, so the last prefix sum
+        # is always above t: k >= 1, and s = |Q| + 1 - k lies in [1, |Q|]
+        return eng.add_const(eng.neg(k), np.uint64(q_len + 1))
 
 
 def gaussian_irwin_hall(eng, length: int):

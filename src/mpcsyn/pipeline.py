@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fixed import FX_ONE, encode
+from .fixed import F, FX_ONE, as_word, encode
 from .marginals import (
     Dataset,
     PartitionPlan,
@@ -71,8 +71,12 @@ class PrivacyBudget:
     rounds: int
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon_total", Fraction(self.epsilon_total))
-        object.__setattr__(self, "delta", Fraction(self.delta))
+        for name in ("epsilon_total", "delta"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, Fraction(value))
+            except (OverflowError, ValueError):
+                raise ValueError(f"{name} must be finite, got {value}") from None
         if self.epsilon_total <= 0:
             raise ValueError("epsilon_total must be positive")
         if not 0 < self.delta < 1:
@@ -219,8 +223,8 @@ class SelectScoreParams:
     def __post_init__(self):
         if self.algo not in ("AIM", "MWEM"):
             raise ValueError(f"unknown selection algorithm {self.algo!r}")
-        if self.algo == "AIM" and not self.max_sensitivity > 0:
-            raise ValueError("AIM max-sensitivity must be positive")
+        if not self.max_sensitivity > 0:
+            raise ValueError("max-sensitivity must be positive")
         if any(b < 0 for b in self.bias):
             raise ValueError("AIM bias terms must be nonnegative")
 
@@ -232,92 +236,84 @@ def expected_noise_l1(noise_kind: str, scale: float, cells: int) -> float:
     return per_cell * cells
 
 
-def _aim_scales(params: SelectScoreParams, workload: Workload):
-    """AIM's public score scales: (exponent scale, per-query weights).
+def _score_scales(params: SelectScoreParams, workload: Workload):
+    """Public score scales: (exponent scale, per-query weights).
 
-    Uniform query weights fold into the exponent scale, where they commute
-    with the max-subtract, and the weights come back as ``None``.
+    AIM weights each query by its workload weight; MWEM is AIM with unit
+    weights and no bias, and this is the one place the two differ.
+    Uniform weights fold into the exponent scale, where they commute with
+    the max-subtract, and the weights come back as ``None``.
     """
     scale = 0.5 * params.epsilon_select / params.max_sensitivity
-    weights = [float(w) for w in workload.weights]
+    weights = [float(w) for w in workload.weights] \
+        if params.algo == "AIM" else [1.0]
     if len(set(weights)) == 1:
         return scale * weights[0], None
     return scale, weights
 
 
-def _score_shift(n: int, params: SelectScoreParams,
-                 workload: Workload) -> int:
-    """Bits k by which selection shifts its scores right before scaling
-    them: the smallest k >= 0 that puts the public bound on every value
-    scale_pub sees below 2^(15 + k).
+def _score_bound(n: int, params: SelectScoreParams,
+                 workload: Workload) -> float:
+    """Public bound on every value scale_pub sees in selection, before
+    the shift by ``_score_shift``.
 
     Counts and model answers each sum to the row count n, so a query's
     L1 lies in [0, 2n + 1]: one count of slack covers the model's
-    normalization tolerance and the fixed-point rounding of its
-    answers. MWEM's max-shifted scores are then within 2n + 1 of 0.
-    AIM's uniform-weight scores L1 - b_q are within 2n + 1 + (max bias -
-    min bias). Non-uniform weights w_q scale each L1 - b_q in
-    [-b_q, 2n + 1 - b_q], so the weighted scores, their products and their
-    max-shifted span are all within max(1, max w) * (2n + 1 + max bias).
+    normalization tolerance and the fixed-point rounding of its answers.
+    With uniform weights the max-shifted scores L1 - b_q are within
+    2n + 1 + (max bias - min bias) of 0; with no bias that is 2n + 1.
+    Non-uniform weights w_q scale each L1 - b_q in [-b_q, 2n + 1 - b_q],
+    so the weighted scores, their products and their max-shifted span
+    are all within max(1, max w) * (2n + 1 + max bias).
     """
-    bound = 2 * n + 1
-    if params.algo == "AIM":
-        _, weights = _aim_scales(params, workload)
-        if weights is None:
-            bound += max(params.bias) - min(params.bias)
-        else:
-            bound = (bound + max(params.bias)) * max(1.0, *weights)
+    _, weights = _score_scales(params, workload)
+    if weights is None:
+        return 2 * n + 1 + (max(params.bias, default=0)
+                            - min(params.bias, default=0))
+    return (2 * n + 1 + max(params.bias)) * max(1.0, *weights)
+
+
+def _score_shift(n: int, params: SelectScoreParams,
+                 workload: Workload) -> int:
+    """Bits k by which selection shifts its scores right before scaling
+    them: the smallest k >= 0 with ``_score_bound`` below 2^(15 + k)."""
+    bound = _score_bound(n, params, workload)
     k = 0
     while bound >= SCALE_PUB_LIMIT * 2**k:
         k += 1
     return k
 
 
-def _check_aim_scale(n: int, params: SelectScoreParams,
-                     workload: Workload) -> None:
-    """Raise ``ValueError`` when public values alone guarantee that AIM's
-    exponent scaling breaks scale_pub's product bound |x * c| < 2^15.
-
-    With weights w_q (1 each when uniform: they fold into the exponent
-    scale), query q's weighted score lies in [-w_q b_q, w_q (2n + 1 - b_q)],
-    so whatever the data, the max-shifted scores span at least
-    max_q w_q (b_q - 2n - 1) - min_q w_q b_q. The pre-shift by k bits
-    (``_score_shift``) keeps |x| in range and scales by c * 2^k, which
-    leaves the product x * c as it was. An integer c * 2^k is an exact
-    ring multiply without that range and is never rejected. A run that
-    passes can still break the range on its data, which the plaintext
-    oracle checks as it runs.
-    """
-    exponent_scale, weights = _aim_scales(params, workload)
-    weights = weights or [1.0] * len(params.bias)
-    l1_max = 2 * n + 1
-    span = max(w * (b - l1_max) for w, b in zip(weights, params.bias)) \
-        - min(w * b for w, b in zip(weights, params.bias))
-    c = exponent_scale * 2**_score_shift(n, params, workload)
-    if c != int(c) and span * abs(exponent_scale) >= SCALE_PUB_LIMIT:
-        raise ValueError(
-            f"AIM scores at least {span:.6g} apart, scaled by "
-            f"{exponent_scale:.6g}, reach 2^15, outside scale_pub's range")
+def _score_floor(scale: float) -> int:
+    """Raw word of -(16 + 2^-10) / scale, rounded away from zero, so that
+    the floor times ``scale`` lies below -16, where sec_exp clamps."""
+    raw = math.ceil((16 + Fraction(1, 1024)) * 2**F / Fraction(scale))
+    return int(as_word(-raw))
 
 
 def _selection_weights(eng, shared_counts, model_answers, workload, params):
     """Unnormalized exponential-mechanism weights over the workload.
 
-    Scores every query (AIM: w * (L1 - bias); MWEM: plain L1), subtracts
-    the shared maximum so the softmax argument is nonpositive, applies
-    the public exponent scale, and exponentiates. The L1 scores take one
-    pass over the concatenated workload: one integer multiply lifts the
-    counts to fixed point, one public vector subtracts the model answers,
-    one batched comparison extracts the signs, and one segment sum adds
-    up each query's cells. Ring sums are exact mod 2^64, so the scores
-    are the words that per-query sums give. Uniform query weights fold
-    into the exponent scale instead of costing a truncation each.
+    Scores every query by w_q * (L1 - b_q) (MWEM: unit weights and no
+    bias, so plain L1), subtracts the shared maximum so the softmax
+    argument is nonpositive, applies the public exponent scale, and
+    exponentiates. The L1 scores take one pass over the concatenated
+    workload: one integer multiply lifts the counts to fixed point, one
+    public vector subtracts the model answers, one batched comparison
+    extracts the signs, and one segment sum adds up each query's cells.
+    Ring sums are exact mod 2^64, so the scores are the words that
+    per-query sums give. Uniform query weights fold into the exponent
+    scale instead of costing a truncation each.
 
     Where the public score bound reaches scale_pub's 2^15 (from n =
     16,384 rows on; every query's model answers sum to n), one batched
     truncation shifts the L1 scores right by k bits (``_score_shift``);
     the bias is subtracted in the shifted domain and the exponent scale
-    grows by 2^k. At k = 0 nothing is shifted.
+    grows by 2^k. Where the bound times the exponent scale reaches 2^15,
+    the max-shifted scores are floored at ``_score_floor`` first (one
+    batched comparison and one multiply): every score below it would
+    scale under -16, where sec_exp clamps, so every weight keeps the word
+    an unwrapped scaling gives. Both conditions read public values only.
     """
     starts = np.cumsum([0] + [c.shape[0] for c in shared_counts[:-1]])
     answers = np.concatenate([np.asarray(a, dtype=np.float64)
@@ -328,24 +324,38 @@ def _selection_weights(eng, shared_counts, model_answers, workload, params):
     neg = sec_cmp(eng, flat, eng.zeros(flat.shape), "LT")
     sgn = eng.add_const(eng.mul_const_int(neg, -2), np.asarray(1))
     scores = eng.sum_segments(eng.mul(sgn, flat), starts)
-    k = _score_shift(round(float(np.sum(model_answers[0]))), params, workload)
+    n = round(float(np.sum(model_answers[0])))
+    k = _score_shift(n, params, workload)
     if k:
         scores = eng.trunc(scores, k)
-    if params.algo == "AIM":
-        exponent_scale, weights = _aim_scales(params, workload)
+    if params.bias:
         scores = eng.sub_const(scores, encode(
             np.asarray(params.bias, dtype=np.float64) / 2**k))
-        if weights is not None:
-            scores = eng.concat(
-                [eng.scale_pub(eng.index(scores, slice(i, i + 1)), weights[i])
-                 for i in range(len(weights))],
-                axis=0,
-            )
-    else:
-        exponent_scale = 0.5 * params.epsilon_select
+    exponent_scale, weights = _score_scales(params, workload)
+    if weights is not None:
+        scores = eng.concat(
+            [eng.scale_pub(eng.index(scores, slice(i, i + 1)), weights[i])
+             for i in range(len(weights))],
+            axis=0,
+        )
     top = eng.broadcast_to(sec_max(eng, scores), scores.shape)
     shifted = eng.sub(scores, top)
-    return sec_softmax_unnorm(eng, eng.scale_pub(shifted, exponent_scale * 2**k))
+    scale = exponent_scale * 2**k
+    if _score_bound(n, params, workload) * exponent_scale >= SCALE_PUB_LIMIT:
+        floor = eng.const_vec(np.full(shifted.shape, _score_floor(scale),
+                                      dtype=np.uint64))
+        below = sec_cmp(eng, shifted, floor, "LT")
+        shifted = eng.add(shifted, eng._mul_raw(below, eng.sub(floor, shifted)))
+    return sec_softmax_unnorm(eng, eng.scale_pub(shifted, scale))
+
+
+def _select(eng, shared_counts, model_answers, workload: Workload,
+            params: SelectScoreParams) -> Query:
+    with eng.scope("select"):
+        weights = _selection_weights(eng, shared_counts, model_answers,
+                                     workload, params)
+        idx = int(eng.open(pi_rc(eng, weights), to=0))
+    return workload.queries[idx - 1]
 
 
 def select_aim(eng, shared_counts, model_answers, workload: Workload,
@@ -353,22 +363,14 @@ def select_aim(eng, shared_counts, model_answers, workload: Workload,
     """One AIM selection round; the chosen query is revealed to party 1."""
     if params.algo != "AIM" or len(params.bias) != len(workload.queries):
         raise ValueError("AIM selection needs one bias term per query")
-    with eng.scope("select"):
-        weights = _selection_weights(eng, shared_counts, model_answers,
-                                     workload, params)
-        idx = int(eng.open(pi_rc(eng, weights), to=0))
-    return workload.queries[idx - 1]
+    return _select(eng, shared_counts, model_answers, workload, params)
 
 
 def select_mwem(eng, shared_counts, model_answers, workload: Workload,
                 epsilon_select: float) -> Query:
     """One MWEM selection round (unweighted L1 utility)."""
-    params = SelectScoreParams("MWEM", epsilon_select)
-    with eng.scope("select"):
-        weights = _selection_weights(eng, shared_counts, model_answers,
-                                     workload, params)
-        idx = int(eng.open(pi_rc(eng, weights), to=0))
-    return workload.queries[idx - 1]
+    return _select(eng, shared_counts, model_answers, workload,
+                   SelectScoreParams("MWEM", epsilon_select))
 
 
 def _step_layout(step: np.ndarray, attrs: tuple, shape: tuple) -> np.ndarray:
@@ -462,9 +464,7 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
     no rows, when a Gaussian noise kind meets eps_measure >= 1
     (``PrivacyBudget.measure_scale``), when the noise scale times the
     sampler's tail bound (``NOISE_TAIL``) reaches scale_pub's 2^15 range,
-    where the scaled noise would wrap, and when AIM's public biases and
-    scales alone guarantee that its exponent scaling leaves that range
-    (``_check_aim_scale``).
+    where the scaled noise would wrap.
     """
     schema = dataset.schema
     n = int(dataset.rows.shape[0])
@@ -489,8 +489,6 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
                  for q in workload.queries)
     params = SelectScoreParams("AIM", eps_select, bias,
                                max(workload.weights)) if algo == "AIM" else None
-    if algo == "AIM":
-        _check_aim_scale(n, params, workload)
 
     eng = make_engine(backend, seed=seed)
     answers = compute_workload_answers(eng, dataset, plan, workload)

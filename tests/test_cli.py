@@ -52,6 +52,20 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--epsilon", "inf"), ("--delta", "inf"), ("--epsilon", "1e400"),
+    ("--epsilon", "nan"),
+])
+def test_non_finite_budget_exits_one(tmp_path, capsys, flag, value):
+    out = tmp_path / "s.csv"
+    assert cli.main(["gen", "--data", TOY_CSV, "--domain", TOY_DOMAIN,
+                     "--out", str(out), "--backend", "cdp",
+                     flag, value]) == 1
+    name = "delta" if flag == "--delta" else "epsilon_total"
+    assert f"error: {name} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_internal_fault_exits_two(monkeypatch, tmp_path):
     def boom(*a, **k):
         raise RuntimeError("wires crossed")

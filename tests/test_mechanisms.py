@@ -139,8 +139,21 @@ def test_pi_rc_operation_counts(backend):
     pi_rc(eng, w)
     c = eng.transcript.counters
     assert c["gt"] == 9  # one comparison per prefix sum
-    assert c["eq"] == 2  # degeneracy check plus the k = 0 mask
-    assert c["mul"] == 2  # threshold product plus the mask product
+    assert c["eq"] == 1  # the degeneracy check
+    assert c["mul"] == 1  # the threshold product
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_pi_rc_largest_threshold_picks_last_index(backend):
+    # r = 1 - 2^-32, the largest uniform, against a point mass on the last
+    # index: t = trunc(total * r) stays below the total, so exactly one
+    # prefix sum is above it and the index is |Q|
+    for q_len in (1, 2, 5, 9):
+        eng = make_engine(backend, seed=q_len)
+        w = np.zeros(q_len)
+        w[-1] = 1.0
+        eng.inject_uniform([2**32 - 1])
+        assert int(eng.open(pi_rc(eng, share_reals(eng, w)))) == q_len
 
 
 def test_pi_rc_returns_share_not_value():

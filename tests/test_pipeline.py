@@ -1,5 +1,6 @@
 """Selection scoring, model updates, sampling, and the full pipeline."""
 
+import functools
 import inspect
 import json
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mpcsyn import fixed, mechanisms, pipeline
+from mpcsyn import dataio, fixed, mechanisms, pipeline
 from mpcsyn import primitives as prim
 from mpcsyn.marginals import (
     AttrDomain,
@@ -62,6 +63,17 @@ def test_privacy_budget_validation():
         PrivacyBudget(1.0, 1.5, 5)
     with pytest.raises(ValueError):
         PrivacyBudget(1.0, 1e-9, 0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epsilon_total", "inf"), ("epsilon_total", "1e400"),
+    ("epsilon_total", "nan"), ("delta", "inf"),
+])
+def test_privacy_budget_rejects_non_finite(field, value):
+    # as the CLI parses its flags: 1e400 overflows to inf
+    args = {"epsilon_total": 1.0, "delta": 1e-9, field: float(value)}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PrivacyBudget(args["epsilon_total"], args["delta"], 5)
 
 
 def test_privacy_budget_split_and_ledger():
@@ -538,6 +550,94 @@ def test_run_pipeline_40k_rows_backends_agree(algo):
     assert log_c["rounds"][0]["selected_query"] == [0]
 
 
+@pytest.mark.parametrize("side", [0.999, 1.001])
+@pytest.mark.parametrize("algo", ["MWEM", "AIM"])
+def test_selection_weights_floor_at_the_product_edge(algo, side):
+    # 1,000 rows, bound 2n + 1 = 2,001, exponent scale c = side * 2^15 /
+    # 2,001: the floor runs only above the edge, one comparison per query.
+    # Query 0 is off by the full 2n, query 1 by 2n - 0.3 and query 2 is
+    # exact: scaled, the shifted scores are 0, -0.3 c and -2n c, the last
+    # of which reaches 2^15 above the edge unless it is floored
+    n = 1000
+    wl = Workload((Query((0,)), Query((1,)), Query((2,))))
+    counts = [[n, 0], [n, 0], [n // 2, n // 2]]
+    model = [np.array([0.0, n]), np.array([0.15, n - 0.15]),
+             np.array([n / 2, n / 2])]
+    c = side * 2**15 / (2 * n + 1)
+    params = SelectScoreParams(algo, 2 * c, (0.0,) * 3 if algo == "AIM" else ())
+    words = []
+    for backend in BACKENDS:
+        eng = make_engine(backend, seed=5)
+        out = pipeline._selection_weights(
+            eng, share_counts(eng, counts), model, wl, params)
+        words.append(eng.reconstruct(out))
+        # 6 signs, 2 for the max, 2 per query for sec_exp's clamp
+        assert eng.transcript.counters["gt"] == 6 + 2 + 6 + 3 * (side > 1)
+    assert np.array_equal(words[0], words[1])
+    want = np.exp(np.maximum(c * np.array([0.0, -0.3, -2.0 * n]), -16.0))
+    assert np.max(np.abs(fixed.decode(words[1]) - want)) < 2.0**-10
+
+
+@pytest.mark.parametrize("scale", [1.0 + 2**-20, 16.376, 300_000.3, 1.25e8])
+def test_score_floor_scales_below_the_exp_clamp(scale):
+    # c = 1.25e8 is eps = 10^9 over two rounds, where a floor word rounded
+    # to nearest would miss -16 by up to 0.015
+    word = pipeline._score_floor(scale)
+    raw = int(fixed.as_word(word).view(np.int64))
+    assert -17 * 2**32 < raw * scale < 0
+    assert Fraction(raw, 2**32) * Fraction(scale) < -16
+    # the scaled floor exponentiates to the clamp's word on both backends
+    for backend in BACKENDS:
+        eng = make_engine(backend, seed=1)
+        floored = eng.scale_pub(eng.const_vec(np.full(2, word)), scale)
+        clamp = eng.const_vec(fixed.encode(np.full(2, -16.0)))
+        assert np.array_equal(eng.reconstruct(prim.sec_exp(eng, floored)),
+                              eng.reconstruct(prim.sec_exp(eng, clamp)))
+
+
+@pytest.mark.parametrize("algo", ["MWEM", "AIM"])
+def test_run_pipeline_wide_scaled_scores_backends_agree(algo):
+    # 8,000 rows, a constant attribute and a uniform one: the scores lie
+    # 12,800 apart, and at eps = 18 (c = 4.5) their scaled span passes
+    # 2^15; without the floor, mpc wrapped and picked (1,) while cdp
+    # raised RangeContractError
+    n = 8000
+    rows = np.column_stack([np.zeros(n, dtype=np.int64), np.arange(n) % 5])
+    ds = Dataset(rows, small_schema((5, 5)))
+    wl = Workload((Query((0,)), Query((1,))))
+    runs = [run_pipeline(ds, horizontal_plan(n, 2, 2), wl,
+                         PrivacyBudget(18, 1e-9, 1), algo=algo,
+                         noise_kind="laplace-sign", backend=backend, seed=3)
+            for backend in BACKENDS]
+    (synth_m, log_m), (synth_c, log_c) = runs
+    assert np.array_equal(synth_m.rows, synth_c.rows)
+    assert log_m["rounds"] == log_c["rounds"]
+    assert log_c["rounds"][0]["selected_query"] == [0]
+
+
+@pytest.mark.parametrize("algo", ["MWEM", "AIM"])
+def test_run_pipeline_integer_exponent_scale_backends_agree(algo):
+    # eps = 10^8 over two rounds: the exponent scale c = 1.25e7 is an
+    # integer, which scale_pub multiplies without a range check; without
+    # the floor, mpc wrapped and picked another query while cdp's sec_exp
+    # clamp raised RangeContractError. At this budget selection is the
+    # argmax of the L1 errors against the uniform first model
+    ds = dataio.make_toy_dataset(2000, 5)
+    wl = dataio.build_workload(ds.schema)
+    runs = [run_pipeline(ds, horizontal_plan(2000, ds.schema.dims, 2), wl,
+                         PrivacyBudget(10**8, 1e-9, 2), algo=algo,
+                         noise_kind="laplace-sign", backend=backend, seed=1)
+            for backend in BACKENDS]
+    (synth_m, log_m), (synth_c, log_c) = runs
+    assert np.array_equal(synth_m.rows, synth_c.rows)
+    assert log_m["rounds"] == log_c["rounds"]
+    uniform = JointDistribution.uniform(ds.schema)
+    l1 = [np.abs(exact_marginal(ds.rows, q, ds.schema)
+                 - 2000 * uniform.marginal(q)).sum() for q in wl.queries]
+    assert log_c["rounds"][0]["selected_query"] == \
+        list(wl.queries[int(np.argmax(l1))].attrs)
+
+
 def test_aim_bias_centers_noise_scores():
     # zero true error: scores over noise draws should average at or
     # below zero once the expected noise mass is subtracted
@@ -804,35 +904,44 @@ def _wide_epsilon_at_product(product, weights):
     return Fraction(2 * (a - product) * half_w / (401 * w_b))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_run_pipeline_aim_scale_fails_closed(monkeypatch, backend):
-    # sigma = 64.7: the noise passes its own check (6 sigma < 2^15), but
-    # the 12,744-cell query's bias exceeds the 2-cell one's by 658k, so
-    # its max-shifted score times the exponent scale 0.05 is below -2^15
-    # whatever the data
+@functools.cache
+def _aim_wide_cdp(epsilon, weights):
     ds, plan, queries = _aim_wide_instance()
-    monkeypatch.setattr(pipeline, "make_engine", _engine_created)
-    with pytest.raises(ValueError, match="2\\^15"):
-        _aim_run(ds, plan, Workload(queries), Fraction(1, 5), backend)
+    return _aim_run(ds, plan, Workload(queries, weights), epsilon, "cdp")
+
+
+def _check_aim_wide_run(backend, epsilon, weights):
+    """``_aim_wide_instance`` runs on ``backend``, with the same rows and
+    round logs as on cdp, which checks every range contract, and picks
+    the 2-cell query, whose bias is the smaller one by far."""
+    ds, plan, queries = _aim_wide_instance()
+    synth, log = _aim_run(ds, plan, Workload(queries, weights), epsilon,
+                          backend)
+    ref_synth, ref_log = _aim_wide_cdp(epsilon, weights)
+    assert np.array_equal(synth.rows, ref_synth.rows)
+    assert log["rounds"] == ref_log["rounds"]
+    assert log["rounds"][0]["selected_query"] == [0]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_run_pipeline_aim_wide_bias_runs_floored(backend):
+    # sigma = 64.7: the 12,744-cell query's bias exceeds the 2-cell one's
+    # by 658k, so its max-shifted score times the exponent scale 0.05 is
+    # below -2^15 whatever the data; the floor keeps it in scale_pub's range
+    _check_aim_wide_run(backend, Fraction(1, 5), ())
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("weights", [(), (0.5, 1.5)])
-def test_run_pipeline_aim_scale_edge(monkeypatch, backend, weights):
-    ds, plan, queries = _aim_wide_instance()
-    wl = Workload(queries, weights)
-    monkeypatch.setattr(pipeline, "make_engine", _engine_created)
+def test_run_pipeline_aim_scale_edge(backend, weights):
+    # just below and just above the product that the data cannot avoid
+    # reaching 2^15: both sides run, floored, and the backends agree
     for side in (0.999, 1.001):
         epsilon = _wide_epsilon_at_product(side * 2**15, weights)
         budget = PrivacyBudget(epsilon, 1e-9, 1)
         assert 0 < budget.epsilon_measure < 1  # a valid Gaussian budget
         assert 6 * budget.measure_scale("gaussian-irwin-hall") < 2**15
-        if side < 1:
-            with pytest.raises(_EngineCreated):
-                _aim_run(ds, plan, wl, epsilon, backend)
-        else:
-            with pytest.raises(ValueError, match="AIM scores"):
-                _aim_run(ds, plan, wl, epsilon, backend)
+        _check_aim_wide_run(backend, epsilon, weights)
 
 
 def test_run_pipeline_aim_wide_bias_spread_runs_shifted():
