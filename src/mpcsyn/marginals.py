@@ -12,8 +12,9 @@ Every shared cell lies in [0, cardinality): ``local_compute`` rejects a
 holder's plaintext outside it before anything is shared. So a cell and a
 candidate value differ by at most cardinality - 1 < 2^b with
 b = (cardinality - 1).bit_length(), and each equality test runs at width
-b: b mask bits, b - 1 ANDs and one opened word per compared cell, instead
-of 64 bits and 63 ANDs.
+b: b - 1 ANDs per compared cell instead of 63. A column is opened under
+a mask once for all the candidate values it meets, so the b mask bits
+and the opened word are paid per row, not per compared cell.
 """
 
 from __future__ import annotations
@@ -316,9 +317,11 @@ def p_way_marginal(eng, shared_data, query: Query, schema: Schema):
     Contract: every shared cell of a queried attribute lies in
     [0, cardinality). The test on an attribute then runs at width
     b = (cardinality - 1).bit_length() (``sec_eq``'s ``nbits``), taken
-    from the public schema: b mask bits, b - 1 ANDs and one opened word
-    per compared cell. A cell of 2^b or more breaks the width contract;
-    the plaintext engine raises ``RangeContractError`` on it.
+    from the public schema: b - 1 ANDs per compared cell, and b mask bits
+    and one opened word per row, since each chunk of cells compares the
+    (1, n) column with its (cells, 1) values in one ``sec_eq``. A cell of
+    2^b or more breaks the width contract; the plaintext engine raises
+    ``RangeContractError`` on it.
     """
     sizes = [schema.attrs[a].cardinality for a in query.attrs]
     total = prod(sizes)
@@ -327,7 +330,8 @@ def p_way_marginal(eng, shared_data, query: Query, schema: Schema):
             f"marginal has {total} cells, over the budget of {DEFAULT_CELL_BUDGET}"
         )
     n = shared_data.shape[0]
-    cols = [eng.index(shared_data, (slice(None), a)) for a in query.attrs]
+    cols = [eng.index(shared_data, (np.newaxis, slice(None), a))  # (1, n)
+            for a in query.attrs]
     cell_values = np.stack(
         np.unravel_index(np.arange(total), sizes), axis=1
     )  # (total, k), row-major
@@ -337,11 +341,8 @@ def p_way_marginal(eng, shared_data, query: Query, schema: Schema):
         chunk = cell_values[start : start + step]
         m = None
         for j in range(query.k):
-            col = eng.broadcast_to(eng.reshape(cols[j], (1, n)), (len(chunk), n))
-            target = np.broadcast_to(
-                chunk[:, j : j + 1].astype(np.uint64), (len(chunk), n)
-            )
-            e = sec_eq(eng, col, target, nbits=(sizes[j] - 1).bit_length())
+            e = sec_eq(eng, cols[j], chunk[:, j : j + 1],
+                       nbits=(sizes[j] - 1).bit_length())
             m = e if m is None else eng.mul(m, e)
         parts.append(eng.sum_axis(m, axis=1))
     return eng.concat(parts, axis=0)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fixed import F, FX_ONE, as_word, encode
+from .fixed import F, FX_ONE, RANGE_LIMIT, as_word, encode
 from .marginals import (
     Dataset,
     PartitionPlan,
@@ -51,6 +51,8 @@ _SAMPLE_PURPOSE = 4  # engine streams use purposes 0..3; sampling gets its own
 _MIN_RUN = 1 << 11
 
 _GAUSSIAN_KINDS = ("gaussian-irwin-hall", "gaussian-box-muller")
+# selection's exponent scale c * 2^k stays below this (_check_exponent_scale)
+_EXPONENT_SCALE_LIMIT = 2.0**62
 
 
 @dataclass(frozen=True)
@@ -284,6 +286,34 @@ def _score_shift(n: int, params: SelectScoreParams,
     return k
 
 
+def _check_exponent_scale(n: int, params: SelectScoreParams,
+                          workload: Workload) -> None:
+    """Raise ``ValueError`` where selection's public exponent scale
+    c * 2^k would break a range contract on some data.
+
+    Where the scale is that large, the scores are floored
+    (``_score_floor``) at -ceil((16 + 2^-10) 2^F / (c 2^k)) raw, which is
+    -1 once c * 2^k >= 2^36 + 2^22. scale_pub multiplies by an integer
+    scale exactly and unchecked, so a one-ulp floor scales to the raw
+    word -c * 2^k, which sec_exp's clamp compares: inside sec_cmp's
+    |x| < 2^(62-F), a raw 2^62, iff c * 2^k < 2^62. A non-integer scale
+    is encoded, which needs it below 2^(63-F) = 2^31; below that the
+    floor's product stays under 2^36 + 2^22 + 2^31 raw, inside scale_pub's
+    2^15. Every float from 2^52 on is an integer, so the edges are
+    c * 2^k < 2^62, and c * 2^k < 2^31 unless it is an integer.
+    """
+    exponent_scale, _ = _score_scales(params, workload)
+    scale = exponent_scale * 2**_score_shift(n, params, workload)
+    if scale >= _EXPONENT_SCALE_LIMIT:
+        edge = "reaches 2^62"
+    elif scale >= RANGE_LIMIT and scale != int(scale):
+        edge = "is not an integer and reaches 2^31"
+    else:
+        return
+    raise ValueError(f"selection's exponent scale c * 2^k = {scale:.6g} {edge}, "
+                     f"where a floored score breaks a range contract")
+
+
 def _score_floor(scale: float) -> int:
     """Raw word of -(16 + 2^-10) / scale, rounded away from zero, so that
     the floor times ``scale`` lies below -16, where sec_exp clamps."""
@@ -464,7 +494,9 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
     no rows, when a Gaussian noise kind meets eps_measure >= 1
     (``PrivacyBudget.measure_scale``), when the noise scale times the
     sampler's tail bound (``NOISE_TAIL``) reaches scale_pub's 2^15 range,
-    where the scaled noise would wrap.
+    where the scaled noise would wrap, and when selection's exponent scale
+    reaches 2^62, or 2^31 without being an integer
+    (``_check_exponent_scale``).
     """
     schema = dataset.schema
     n = int(dataset.rows.shape[0])
@@ -487,8 +519,9 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
     eps_select = float(budget.epsilon_select)
     bias = tuple(expected_noise_l1(noise_kind, scale, q.size(schema))
                  for q in workload.queries)
-    params = SelectScoreParams("AIM", eps_select, bias,
-                               max(workload.weights)) if algo == "AIM" else None
+    params = SelectScoreParams("AIM", eps_select, bias, max(workload.weights)) \
+        if algo == "AIM" else SelectScoreParams("MWEM", eps_select)
+    _check_exponent_scale(n, params, workload)
 
     eng = make_engine(backend, seed=seed)
     answers = compute_workload_answers(eng, dataset, plan, workload)

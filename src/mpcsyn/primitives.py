@@ -4,7 +4,7 @@ Every construction here composes engine calls. The engine's bit-level
 operations follow the masked-opening pattern: blind the relevant value
 with fresh shared random bits, open the blinded word (it is uniform, so
 the opening leaks nothing), then recover the predicate from the public
-word and the shared mask bits. Equality is the engine's ``eq_zero``; the
+word and the shared mask bits. Equality is the engine's ``eq_public``; the
 sign bit of a comparison and the most-significant-bit one-hot of ln and
 sqrt are its ``value_bits`` and ``msb_onehot``. The message pattern of
 each primitive therefore depends only on shapes, never on the data.
@@ -83,23 +83,28 @@ def _const_like(eng, x, c: float, frac_bits: int = F):
 def sec_eq(eng, x, other, nbits: int = 64):
     """Share of [x == other]; ``other`` is a public integer array or a share.
 
+    A public ``other`` broadcasts against x, and the result has the
+    broadcast shape; a shared one has x's shape.
+
     Width contract: the signed difference d = x - other satisfies
     |d| < 2^nbits, so d == 0 iff its low ``nbits`` bits are zero (bounded
     equality, Catrina-de Hoogh). The default of 64 holds for any words.
-    The engine's ``eq_zero`` tests the low ``nbits`` bits of d. Cost per
-    element: ``nbits`` mask bits, one opened word and nbits - 1 ANDs in a
-    tree of depth ceil(log2 nbits), so 3 + ceil(log2 nbits) rounds.
+    The engine's ``eq_public`` tests the low ``nbits`` bits of d, opening
+    x once for all of its public targets (x - other against 0 for a
+    shared one). Cost: ``nbits`` mask bits and one opened word per
+    element of x, nbits - 1 ANDs per output element in a tree of depth
+    ceil(log2 nbits), so 3 + ceil(log2 nbits) rounds.
     """
     check_width(nbits)
     if isinstance(other, (int, np.integer, np.ndarray)):
-        d = eng.sub_const(x, as_word(np.broadcast_to(np.asarray(other), x.shape)))
+        pub = as_word(other)
     else:
-        d = eng.sub(x, other)
-    eng.count("eq", d.size)
+        x, pub = eng.sub(x, other), as_word(0)
+    eng.count("eq", math.prod(np.broadcast_shapes(x.shape, pub.shape)))
     if nbits < 64:
-        eng.require(d, lambda w: _within_width(w, nbits),
+        eng.require(x, lambda w: _within_width(np.subtract(w, pub), nbits),
                     f"sec_eq: a difference has |d| >= 2^{nbits}")
-    return eng.eq_zero(d, nbits)
+    return eng.eq_public(x, pub, nbits)
 
 
 def _within_width(d: np.ndarray, nbits: int) -> np.ndarray:
@@ -244,9 +249,8 @@ def sec_sin_cos(eng, x):
                 "sec_sin_cos: a quadrant lies outside [0, 4]")
     g = eng.sub(y, eng.mul_const_int(k, FX_ONE))
     g30 = eng.trunc(g, 2)
-    ks = eng.stack([k] * 5, axis=0)
-    consts = as_word(np.arange(5).reshape((5,) + (1,) * len(x.shape)))
-    onehot = sec_eq(eng, ks, np.broadcast_to(consts, (5,) + x.shape), nbits=3)
+    quadrants = np.arange(5).reshape((5,) + (1,) * len(x.shape))
+    onehot = sec_eq(eng, k, quadrants, nbits=3)  # one opening of k for all five
     oh = [eng.index(onehot, j) for j in range(5)]
     sinp = eng.mul_const_int(_horner(eng, g30, _SIN_COEFS, 30), 1 << (F - 30))
     cosp = eng.mul_const_int(_horner(eng, g30, _COS_COEFS, 30), 1 << (F - 30))

@@ -526,6 +526,15 @@ def _add_public(data: np.ndarray, raws) -> None:
     data[2, 1, ...] += raws
 
 
+def _equal_bits(bits: np.ndarray, pub: np.ndarray) -> np.ndarray:
+    """Share array of [b == p] for shared bits b and public bits p, which
+    broadcast: b XOR (1 - p) = (1 - p) + (2p - 1) b, local."""
+    one = np.uint64(1)
+    same = bits * ((pub << one) - one)
+    _add_public(same, one - pub)
+    return same
+
+
 def _xor_public(data: np.ndarray, word) -> np.ndarray:
     """A packed word XOR a public word, under the same convention (local)."""
     out = data.copy()
@@ -712,7 +721,7 @@ class Mpc3Engine(_EngineBase):
         # party i's term x_i y_i + x_i y_{i+1} + x_{i+1} y_i
         np.add(b[:, 0], b[:, 1], out=w)
         w *= a[:, 0]
-        w += a[:, 1] * b[:, 0]
+        w += np.multiply(a[:, 1], b[:, 0], out=out[:, 1])  # scratch until the pair is set
         self._reshare(w)
         # new pair at party i = (w_i, w_{i+1})
         out[:2, 1] = w[1:]
@@ -809,8 +818,9 @@ class Mpc3Engine(_EngineBase):
         (x + sum 2^j bits[j]) mod 2^nbits; the caller extracts what it
         needs from those and the shared bits. Cost: ``nbits`` mask bits
         and len(dabits) daBits per element, their two resharings and one
-        opening (3 rounds).
+        opening (3 rounds); the ``masked_open`` counter adds the elements.
         """
+        self.count("masked_open", x.size)
         mask = self.mask_bits(x.shape, nbits, dabits)
         r = self.bit_sum(mask.bits, _BIT_WEIGHTS[:nbits])
         if nbits < 64:
@@ -961,19 +971,24 @@ class Mpc3Engine(_EngineBase):
         y = s ^ (s >> np.uint64(1))
         return self._open_bits(y, None if z is None else z ^ (z >> np.uint64(1)), mask, positions)
 
-    def eq_zero(self, d: ShareVec, nbits: int = 64) -> ShareVec:
-        """Shared [d == 0 mod 2^nbits]: open d + r with a width-``nbits``
-        mask r; d is zero there iff every opened low bit equals its mask
-        bit. Each equality b == m of a shared bit b and a public bit m is
-        b XOR (1 - m), local; an AND tree of the nbits - 1 multiplications
-        (``reduce_pairs``) joins them. Cost per element: ``nbits`` mask
-        bits and one opened word, 3 + ceil(log2 nbits) rounds.
+    def eq_public(self, x: ShareVec, pub, nbits: int = 64) -> ShareVec:
+        """Shared [x == pub mod 2^nbits] for public words ``pub``, at the
+        broadcast of x's and pub's shapes.
+
+        One masked opening of x serves every target: m = x + r is open, so
+        m - pub is public, and x == pub there iff every low bit of m - pub
+        equals its mask bit. Each of these bit tests is local
+        (``_equal_bits``); an AND tree of nbits - 1 multiplications per
+        output element (``reduce_pairs``) joins them. Cost: ``nbits`` mask
+        bits and one opened word per element of x, nbits - 1 ANDs per
+        output element, 3 + ceil(log2 nbits) rounds.
         """
-        m, mask = self.masked_open(d, nbits)
-        flip = np.uint64(1) - _pub_bits(m, range(nbits))
-        # b XOR f = f + (1 - 2f) b for the public bits f
-        same = self.add_const(self.mul_const_int(mask.bits, np.uint64(1) - flip - flip), flip)
-        return self.reduce_pairs(same, self._mul_raw)
+        pub = as_word(pub)
+        ndim = max(len(x.shape), pub.ndim)
+        x = self.reshape(x, (1,) * (ndim - len(x.shape)) + x.shape)
+        m, mask = self.masked_open(x, nbits)
+        same = _equal_bits(mask.bits.data, _pub_bits(np.subtract(m, pub), range(nbits)))
+        return self.reduce_pairs(ShareVec(same), self._mul_raw)
 
     def trunc(self, x: ShareVec, g: int = F) -> ShareVec:
         """Exact arithmetic right shift by g bits of the shared 64-bit value.
@@ -1060,10 +1075,10 @@ class PlainEngine(_EngineBase):
             s = s | (s >> np.uint64(1 << k))
         return PlainVec(_pub_bits(s ^ (s >> np.uint64(1)), range(nbits)))
 
-    def eq_zero(self, d: PlainVec, nbits: int = 64) -> PlainVec:
-        """[d == 0]; equal to the protocol's [d == 0 mod 2^nbits] wherever
-        the caller's width contract holds."""
-        return PlainVec((d.raw == 0).astype(U64))
+    def eq_public(self, x: PlainVec, pub, nbits: int = 64) -> PlainVec:
+        """[x == pub] at the broadcast shape; equal to the protocol's
+        [x == pub mod 2^nbits] wherever the caller's width contract holds."""
+        return PlainVec((x.raw == as_word(pub)).astype(U64))
 
     def assemble(self, shape, placements) -> PlainVec:
         base = np.zeros(shape, dtype=U64)

@@ -130,6 +130,22 @@ def test_gen_mpc_partitioned(tmp_path):
     assert report["transcript"]["messages"] > 0
 
 
+def test_gen_vertical_same_csv_on_both_backends(tmp_path):
+    # vertical:2 puts cross-holder queries on the equality protocol
+    data, dom = write_small_dataset(tmp_path)
+    written, met = {}, tmp_path / "metrics.json"
+    for backend in ("mpc", "cdp"):
+        out = tmp_path / f"synth-{backend}.csv"
+        assert cli.main([
+            "gen", "--data", data, "--domain", dom, "--rounds", "2",
+            "--backend", backend, "--partition", "vertical:2",
+            "--seed", "4", "--out", str(out), "--metrics", str(met),
+        ]) == 0
+        written[backend] = out.read_bytes()
+        assert json.loads(met.read_text())["transcript"]["counters"]["eq"] > 0
+    assert written["mpc"] == written["cdp"]
+
+
 def test_gen_with_workload_file(tmp_path):
     wl_path = tmp_path / "wl.json"
     wl_path.write_text(json.dumps({"queries": [["a0", "a1"], ["a2"]]}))
@@ -201,6 +217,17 @@ def test_gen_empty_dataset_exits_one(tmp_path, capsys, backend):
                      "--partition", "vertical:2", "--rounds", "2"])
     assert code == 1
     assert "error: dataset has no rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_huge_epsilon_exits_one(tmp_path, capsys):
+    # one round: selection's exponent scale is 4e19 / 4 = 1e19 >= 2^62
+    csv_path, dom_path = write_small_dataset(tmp_path)
+    out = tmp_path / "s.csv"
+    assert cli.main(["gen", "--data", csv_path, "--domain", dom_path,
+                     "--out", str(out), "--epsilon", "4e19", "--rounds", "1",
+                     "--noise", "lap"]) == 1
+    assert "error: selection's exponent scale" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -225,13 +225,31 @@ def test_p_way_equality_count_instrumented():
 
 
 def test_p_way_mask_bits_follow_cardinality_widths():
-    # widths (3-1, 2-1, 2-1).bit_length() = (2, 1, 1) mask bits per compared cell
+    # widths (3-1, 2-1, 2-1).bit_length() = (2, 1, 1) mask bits per row,
+    # each attribute's column opened once for all 12 cells
     eng = make_engine("mpc", seed=97)
     rng = np.random.default_rng(97)
     schema = M.Schema((M.AttrDomain("a", 3), M.AttrDomain("b", 2), M.AttrDomain("c", 2)))
     rows = rng.integers(0, 2, size=(50, 3)).astype(np.uint64)
     M.p_way_marginal(eng, eng.share(rows), M.Query((0, 1, 2)), schema)
-    assert eng.transcript.counters["mask_bit"] == (2 + 1 + 1) * 50 * 12
+    assert eng.transcript.counters["mask_bit"] == (2 + 1 + 1) * 50
+
+
+def test_p_way_exact_across_chunks(monkeypatch):
+    # 60 rows per 256-element chunk: 4 cells a chunk, so 24 cells take 6
+    # chunks, the last one short, and each chunk opens the columns again
+    monkeypatch.setattr(M, "_CHUNK_ELEMS", 256)
+    schema = M.Schema((M.AttrDomain("a", 3), M.AttrDomain("b", 2), M.AttrDomain("c", 4)))
+    rows = np.random.default_rng(99).integers(0, (3, 2, 4), size=(60, 3))
+    q = M.Query((0, 1, 2))
+    got = {}
+    for backend in ("mpc", "cdp"):
+        eng = make_engine(backend, seed=99)
+        got[backend] = eng.reconstruct(
+            M.p_way_marginal(eng, eng.share(rows.astype(np.uint64)), q, schema))
+        assert eng.transcript.counters["eq"] == 3 * 60 * 24
+    assert np.array_equal(got["mpc"], got["cdp"])
+    assert np.array_equal(got["mpc"].astype(np.int64), M.exact_marginal(rows, q, schema))
 
 
 def test_p_way_cdp_fails_closed_on_cells_outside_width():

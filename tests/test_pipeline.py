@@ -638,6 +638,44 @@ def test_run_pipeline_integer_exponent_scale_backends_agree(algo):
         list(wl.queries[int(np.argmax(l1))].attrs)
 
 
+def _wide_exponent_run(eps: float, algo: str, backend: str):
+    """The 8,000-row (5, 5) instance with one constant and one uniform
+    attribute, one round of Laplace noise at ``eps``, seed 3."""
+    n = 8000
+    rows = np.column_stack([np.zeros(n, dtype=np.int64), np.arange(n) % 5])
+    return run_pipeline(Dataset(rows, small_schema((5, 5))),
+                        horizontal_plan(n, 2, 2),
+                        Workload((Query((0,)), Query((1,)))),
+                        PrivacyBudget(eps, 1e-9, 1), algo=algo,
+                        noise_kind="laplace-sign", backend=backend, seed=3)
+
+
+# eps = 4 c over one round, so c = 0.999 and 1.001 x 2^62; and a
+# non-integer c = 0.999 and 1.001 x 2^31, which scale_pub must encode
+_EXPONENT_EDGES = [(4 * 0.999 * 2.0**62, True), (4 * 1.001 * 2.0**62, False),
+                   (4e19, False),
+                   (4 * 0.999 * 2.0**31, True), (4 * 1.001 * 2.0**31, False)]
+
+
+@pytest.mark.parametrize("algo", ["MWEM", "AIM"])
+@pytest.mark.parametrize("eps,runs", _EXPONENT_EDGES)
+def test_run_pipeline_exponent_scale_edge(eps, runs, algo):
+    # at 4e19 mpc used to select (1,) silently while cdp raised
+    # RangeContractError in sec_cmp; above the edges both refuse up front
+    c = eps / 4
+    assert (c == int(c)) == (c > 2.0**40)  # integer scales near 2^62 only
+    if not runs:
+        for backend in BACKENDS:
+            with pytest.raises(ValueError, match="exponent scale"):
+                _wide_exponent_run(eps, algo, backend)
+        return
+    (synth_m, log_m), (synth_c, log_c) = (
+        _wide_exponent_run(eps, algo, backend) for backend in BACKENDS)
+    assert np.array_equal(synth_m.rows, synth_c.rows)
+    assert log_m["rounds"] == log_c["rounds"]
+    assert log_c["rounds"][0]["selected_query"] == [0]
+
+
 def test_aim_bias_centers_noise_scores():
     # zero true error: scores over noise draws should average at or
     # below zero once the expected noise mass is subtracted

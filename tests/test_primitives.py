@@ -55,10 +55,11 @@ def test_sec_eq_bounded_width_exhaustive(backend):
         assert eng.transcript.counters["eq"] == 2 * card * card
 
 
-def _eq_records(n: int, nbits: int) -> list[tuple[int, int, int, int]]:
-    """(round, sender, receiver, bytes) of one sec_eq on n elements, rounds
-    counted from 1: two resharings of the nbits mask bits, one opening to
-    all parties, then one resharing per level of the AND tree."""
+def _eq_records(n: int, nbits: int, targets: int = 1) -> list[tuple[int, int, int, int]]:
+    """(round, sender, receiver, bytes) of one sec_eq of n elements against
+    ``targets`` public targets each, rounds counted from 1: two resharings
+    of the nbits mask bits and one opening to all parties, per element,
+    then one resharing per level of the AND tree, per output element."""
     reshare = [(2, 1), (3, 2), (1, 3)]
     opening = [(2, 1), (3, 1), (3, 2), (1, 2), (1, 3), (2, 3)]
     recs = [(r, s, t, 8 * nbits * n) for r in (1, 2) for s, t in reshare]
@@ -66,7 +67,7 @@ def _eq_records(n: int, nbits: int) -> list[tuple[int, int, int, int]]:
     rnd, length = 3, nbits
     while length > 1:
         rnd += 1
-        recs += [(rnd, s, t, 8 * (length // 2) * n) for s, t in reshare]
+        recs += [(rnd, s, t, 8 * (length // 2) * n * targets) for s, t in reshare]
         length = (length + 1) // 2
     return recs
 
@@ -87,6 +88,22 @@ def test_sec_eq_records_closed_form_and_data_independent(nbits):
         assert got == _eq_records(n, width)
         assert eng.transcript.rounds - start == 3 + (width - 1).bit_length()
         assert eng.transcript.counters["mask_bit"] == width * n
+
+
+@pytest.mark.parametrize("nbits", (1, 2, 3, 8, 64))
+def test_sec_eq_broadcast_records_closed_form(nbits):
+    # a (1, n) column against (5, 1) targets opens the column once
+    n, targets = 7, (np.arange(5, dtype=np.uint64) % 2).reshape(5, 1)
+    for data_seed in (0, 1):
+        vals = np.random.default_rng(data_seed).integers(0, 2, (1, n)).astype(np.uint64)
+        eng = Mpc3Engine(seed=113, record_messages=True)
+        x = eng.share(vals)
+        start, skip = eng.transcript.rounds, len(eng.transcript.records)
+        got = eng.reconstruct(prim.sec_eq(eng, x, targets, nbits=nbits))
+        assert np.array_equal(got, (vals == targets).astype(np.uint64))
+        recs = [(r - start, s, t, b) for r, _, s, t, b in eng.transcript.records[skip:]]
+        assert recs == _eq_records(n, nbits, targets=5)
+        assert eng.transcript.counters["eq"] == 5 * n
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -297,10 +314,10 @@ def test_sin_cos_quadrant_width_keeps_words(backend, monkeypatch):
 
 def test_sin_cos_mask_bits_pinned():
     # per element: 2 clamp comparisons and 21 truncations at 64 mask
-    # bits each, and 5 quadrant equality tests at 3
+    # bits each, and 5 quadrant equality tests on one 3-bit opening
     eng = Mpc3Engine(seed=62)
     prim.sec_sin_cos(eng, eng.share(fixed.encode(np.linspace(0.0, 6.0, 7))))
-    assert eng.transcript.counters["mask_bit"] == 7 * (64 * (2 + 21) + 5 * 3)
+    assert eng.transcript.counters["mask_bit"] == 7 * (64 * (2 + 21) + 3)
     assert eng.transcript.counters["eq"] == 7 * 5
 
 

@@ -325,14 +325,37 @@ def test_mpc_require_never_evaluates_its_predicate():
 
 
 @pytest.mark.parametrize("backend", ("mpc", "cdp"))
-def test_eq_zero_every_difference_inside_the_width(backend):
-    for nbits in (1, 3, 8, 64):
+def test_eq_public_every_difference_inside_the_width(backend):
+    # x = 0..lim-1 against targets 0, lim/2 and lim-1 meets every
+    # difference in (-lim, lim), all of them inside the width
+    for nbits in (1, 2, 3, 8, 64):
         eng = make_engine(backend, seed=37)
-        lim = 1 << min(nbits, 10)
-        d = np.arange(1 - lim, lim).astype(np.uint64)  # both signs, |d| < 2^nbits
-        got = eng.reconstruct(eng.eq_zero(eng.share(d), nbits))
-        assert np.array_equal(got, (d == 0).astype(np.uint64)), nbits
+        lim = 1 << min(nbits, 8)
+        x = np.arange(lim, dtype=np.uint64).reshape(1, lim)
+        targets = np.array([[0], [lim // 2], [lim - 1]], dtype=np.uint64)
+        got = eng.reconstruct(eng.eq_public(eng.share(x), targets, nbits))
+        assert got.shape == (3, lim)
+        assert np.array_equal(got, (x == targets).astype(np.uint64)), nbits
         assert "eq" not in eng.transcript.counters  # sec_eq counts, not the engine
+
+
+@pytest.mark.parametrize("nbits", (1, 2, 3, 8, 64))
+def test_eq_public_opens_each_element_once(nbits):
+    # 4 targets per element: nbits mask bits and one opened word per
+    # element of x, whatever the targets, and records fixed by the shapes
+    n, records = 9, []
+    for data_seed in (0, 1):
+        eng = Mpc3Engine(seed=39, record_messages=True)
+        rng = np.random.default_rng(data_seed)
+        x = eng.share(rng.integers(0, 4, size=(1, n)).astype(np.uint64))
+        targets = rng.integers(0, 4, size=(4, 1)).astype(np.uint64)
+        start, skip = eng.transcript.rounds, len(eng.transcript.records)
+        eng.eq_public(x, targets, nbits)
+        assert eng.transcript.counters["mask_bit"] == nbits * n
+        assert eng.transcript.counters["masked_open"] == n
+        assert eng.transcript.rounds - start == 3 + (nbits - 1).bit_length()
+        records.append([(r - start, *rest) for r, *rest in eng.transcript.records[skip:]])
+    assert records[0] == records[1]
 
 
 @pytest.mark.parametrize("backend", ("mpc", "cdp"))
