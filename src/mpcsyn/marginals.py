@@ -2,24 +2,27 @@
 
 Data holders each own a rectangle of the logical table (a row range and
 an attribute set). Queries whose attributes are fully owned by a set of
-holders that exactly tile the rows are answered locally and aggregated
-by share addition (zero messages). Every other query is computed from
-the assembled secret-shared table by the equality-product counting
-protocol, which touches each row once per cell and keeps counts exact:
-integers never pass through truncation.
+holders that exactly tile the rows are answered locally: each of those
+holders shares its partial counts, and the partials are aggregated by
+share addition (zero messages). The plan is public, so a holder shares
+nothing for a query it does not answer. Every other query (Q*) is
+computed from the assembled secret-shared table by the
+equality-product counting protocol, which touches each row once per cell
+and keeps counts exact: integers never pass through truncation.
 
 Every shared cell lies in [0, cardinality): ``local_compute`` rejects a
 holder's plaintext outside it before anything is shared. So a cell and a
 candidate value differ by at most cardinality - 1 < 2^b with
 b = (cardinality - 1).bit_length(), and each equality test runs at width
-b: b - 1 ANDs per compared cell instead of 63. A column is opened under
-a mask once for all the candidate values it meets, so the b mask bits
-and the opened word are paid per row, not per compared cell.
+b: b - 1 ANDs per compared cell instead of 63. Each row of a column is
+opened under a mask once for all the candidate values it meets, so the
+b mask bits and the opened word are paid per row, not per compared cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -30,7 +33,7 @@ from .primitives import sec_eq
 
 DEFAULT_CELL_BUDGET = 100_000
 
-# elements per equality batch when sweeping cells x rows
+# elements per equality batch when sweeping rows x cells
 _CHUNK_ELEMS = 1 << 20
 
 
@@ -161,9 +164,6 @@ class Workload:
         object.__setattr__(self, "queries", queries)
         object.__setattr__(self, "weights", weights)
 
-    def __len__(self) -> int:
-        return len(self.queries)
-
 
 @dataclass(frozen=True)
 class Holding:
@@ -230,17 +230,16 @@ def split_queries(
 ) -> tuple[list[Query], list[Query]]:
     """Partition the workload into locally-computable queries and Q*.
 
-    A query stays local when the holders owning all of its attributes
-    tile the full row range exactly once; anything else is recomputed
-    from the joined shared table.
+    Precondition: ``plan`` is valid for n rows (``PartitionPlan.validate``).
+    The holders owning all of a query's attributes then cannot share a
+    row, so they tile the rows exactly once iff their row counts sum to
+    n: such a query stays local. Anything else is recomputed from the
+    joined shared table.
     """
     local, qstar = [], []
     for q in workload.queries:
-        covering = [h for h in plan.holders if set(q.attrs) <= set(h.attrs)]
-        rowmask = np.zeros(n, dtype=np.int64)
-        for h in covering:
-            rowmask[h.rows[0] : h.rows[1]] += 1
-        (local if (rowmask == 1).all() else qstar).append(q)
+        rows = sum(h.n_rows for h in plan.holders if set(q.attrs) <= set(h.attrs))
+        (local if rows == n else qstar).append(q)
     return local, qstar
 
 
@@ -248,9 +247,8 @@ def local_compute(
     eng,
     holder_rows: np.ndarray,
     holding: Holding,
-    workload: Workload,
+    queries: list[Query],
     schema: Schema,
-    qstar: list[Query],
     share_cells: bool,
 ):
     """One holder's contribution: shares of its partial marginals.
@@ -258,10 +256,10 @@ def local_compute(
     ``holder_rows`` is the holder's plaintext view, shaped
     (n_rows, len(holding.attrs)) in holding-attribute order, with every
     value in [0, cardinality) of its attribute (``SchemaError`` otherwise,
-    raised before anything is shared). Queries the
-    holder cannot answer (or that were routed to Q*) get zero vectors,
-    keeping the aggregation shape-uniform. When ``share_cells`` is set
-    the raw cells are shared too, for the join.
+    raised before anything is shared). ``queries`` are the local queries
+    (``split_queries``); the holder shares counts for those whose
+    attributes it owns and nothing for the rest. When ``share_cells`` is
+    set the raw cells are shared too, for the join.
     """
     holder_rows = np.asarray(holder_rows, dtype=np.int64)
     if holder_rows.shape != (holding.n_rows, len(holding.attrs)):
@@ -273,16 +271,13 @@ def local_compute(
                 f"attribute {dom.name!r}: holder values outside [0, {dom.cardinality})"
             )
     col_of = {a: i for i, a in enumerate(holding.attrs)}
-    qstar_set = set(qstar)
     partials = {}
-    for q in workload.queries:
-        if q not in qstar_set and set(q.attrs) <= set(holding.attrs):
+    for q in queries:
+        if set(q.attrs) <= set(holding.attrs):
             local_view = holder_rows[:, [col_of[a] for a in q.attrs]]
             counts = exact_marginal(local_view, Query(tuple(range(q.k))),
                                     Schema(tuple(schema.attrs[a] for a in q.attrs)))
-        else:
-            counts = np.zeros(q.size(schema), dtype=np.int64)
-        partials[q] = eng.share(as_word(counts))
+            partials[q] = eng.share(as_word(counts))
     cells = eng.share(as_word(holder_rows)) if share_cells else None
     return partials, cells
 
@@ -318,10 +313,11 @@ def p_way_marginal(eng, shared_data, query: Query, schema: Schema):
     [0, cardinality). The test on an attribute then runs at width
     b = (cardinality - 1).bit_length() (``sec_eq``'s ``nbits``), taken
     from the public schema: b - 1 ANDs per compared cell, and b mask bits
-    and one opened word per row, since each chunk of cells compares the
-    (1, n) column with its (cells, 1) values in one ``sec_eq``. A cell of
-    2^b or more breaks the width contract; the plaintext engine raises
-    ``RangeContractError`` on it.
+    and one opened word per row, since each chunk of rows compares the
+    (1, rows) slice of the column with all (cells, 1) values in one
+    ``sec_eq``; the chunks' counts add up. A cell of 2^b or more breaks
+    the width contract; the plaintext engine raises ``RangeContractError``
+    on it.
     """
     sizes = [schema.attrs[a].cardinality for a in query.attrs]
     total = prod(sizes)
@@ -329,46 +325,45 @@ def p_way_marginal(eng, shared_data, query: Query, schema: Schema):
         raise CellBudgetError(
             f"marginal has {total} cells, over the budget of {DEFAULT_CELL_BUDGET}"
         )
-    n = shared_data.shape[0]
-    cols = [eng.index(shared_data, (np.newaxis, slice(None), a))  # (1, n)
-            for a in query.attrs]
     cell_values = np.stack(
         np.unravel_index(np.arange(total), sizes), axis=1
     )  # (total, k), row-major
-    step = max(1, _CHUNK_ELEMS // max(n, 1))
-    parts = []
-    for start in range(0, total, step):
-        chunk = cell_values[start : start + step]
+    step = max(1, _CHUNK_ELEMS // total)
+    counts = None
+    # an empty table still runs one (empty) chunk, so its counts are zeros
+    for start in range(0, max(shared_data.shape[0], 1), step):
+        rows = slice(start, start + step)
         m = None
-        for j in range(query.k):
-            e = sec_eq(eng, cols[j], chunk[:, j : j + 1],
+        for j, a in enumerate(query.attrs):
+            col = eng.index(shared_data, (np.newaxis, rows, a))  # (1, rows)
+            e = sec_eq(eng, col, cell_values[:, j : j + 1],
                        nbits=(sizes[j] - 1).bit_length())
             m = e if m is None else eng.mul(m, e)
-        parts.append(eng.sum_axis(m, axis=1))
-    return eng.concat(parts, axis=0)
+        part = eng.sum_axis(m, axis=1)
+        counts = part if counts is None else eng.add(counts, part)
+    return counts
 
 
 def pi_comp(eng, partials_per_holder: list[dict], workload: Workload,
-            qstar: list[Query], shared_data=None, schema: Schema | None = None):
-    """Aggregate workload answers: local sums for covered queries, the
-    equality-product protocol for Q*.
+            shared_data=None, schema: Schema | None = None):
+    """Aggregate workload answers: the sum of the holders' partials where
+    any holder answered a query, the equality-product protocol on the
+    joined table for every other query (Q*).
 
     Returns a dict query -> shared count vector. Reconstructions equal
     the plaintext marginals exactly in every partition mode.
     """
-    if qstar and shared_data is None:
+    held = {q: [p[q] for p in partials_per_holder if q in p]
+            for q in workload.queries}
+    if shared_data is None and not all(held.values()):
         raise OrchestrationError("Q* nonempty but no shared table supplied")
-    qstar_set = set(qstar)
     answers = {}
     with eng.scope("pi_comp"):
-        for q in workload.queries:
-            if q in qstar_set:
+        for q, parts in held.items():
+            if not parts:
                 answers[q] = p_way_marginal(eng, shared_data, q, schema)
             else:
-                acc = None
-                for partials in partials_per_holder:
-                    acc = partials[q] if acc is None else eng.add(acc, partials[q])
-                answers[q] = acc
+                answers[q] = reduce(eng.add, parts)
     return answers
 
 
@@ -383,13 +378,11 @@ def compute_workload_answers(eng, dataset: Dataset, plan: PartitionPlan,
     for h in plan.holders:
         view = dataset.rows[h.rows[0] : h.rows[1]][:, list(h.attrs)]
         partials, cells = local_compute(
-            eng, view, h, workload, dataset.schema, qstar, need_cells
+            eng, view, h, local, dataset.schema, need_cells
         )
         partials_per_holder.append(partials)
         cells_per_holder.append(cells)
     shared_data = None
     if need_cells:
         shared_data = pi_join(eng, plan, cells_per_holder, n, d)
-    return pi_comp(
-        eng, partials_per_holder, workload, qstar, shared_data, dataset.schema
-    )
+    return pi_comp(eng, partials_per_holder, workload, shared_data, dataset.schema)

@@ -42,11 +42,10 @@ from .mechanisms import (
     pi_measure,
     pi_rc,
 )
-from .primitives import sec_cmp, sec_max, sec_softmax_unnorm
-from .rss import SCALE_PUB_LIMIT, make_engine
+from .primitives import EXP_DOMAIN, sec_cmp, sec_max, sec_softmax_unnorm
+from .rss import PURPOSE_SAMPLE, SCALE_PUB_LIMIT, make_engine
 
 MAX_JOINT_CELLS = 1_000_000
-_SAMPLE_PURPOSE = 4  # engine streams use purposes 0..3; sampling gets its own
 # shortest inner loop, in cells, a model-update multiply is left to run
 _MIN_RUN = 1 << 11
 
@@ -220,13 +219,10 @@ class SelectScoreParams:
     algo: str  # "AIM" or "MWEM"
     epsilon_select: float
     bias: tuple = ()  # per-query expected noise mass, AIM only
-    max_sensitivity: float = 1.0
 
     def __post_init__(self):
         if self.algo not in ("AIM", "MWEM"):
             raise ValueError(f"unknown selection algorithm {self.algo!r}")
-        if not self.max_sensitivity > 0:
-            raise ValueError("max-sensitivity must be positive")
         if any(b < 0 for b in self.bias):
             raise ValueError("AIM bias terms must be nonnegative")
 
@@ -242,13 +238,17 @@ def _score_scales(params: SelectScoreParams, workload: Workload):
     """Public score scales: (exponent scale, per-query weights).
 
     AIM weights each query by its workload weight; MWEM is AIM with unit
-    weights and no bias, and this is the one place the two differ.
+    weights and no bias, and this is the one place the two differ. The
+    score's sensitivity is the largest weight, so the exponent scale is
+    epsilon_select / (2 max w); all-zero weights raise ``ValueError``.
     Uniform weights fold into the exponent scale, where they commute with
     the max-subtract, and the weights come back as ``None``.
     """
-    scale = 0.5 * params.epsilon_select / params.max_sensitivity
     weights = [float(w) for w in workload.weights] \
         if params.algo == "AIM" else [1.0]
+    if not max(weights) > 0:
+        raise ValueError("AIM needs a positive workload weight")
+    scale = 0.5 * params.epsilon_select / max(weights)
     if len(set(weights)) == 1:
         return scale * weights[0], None
     return scale, weights
@@ -317,7 +317,8 @@ def _check_exponent_scale(n: int, params: SelectScoreParams,
 def _score_floor(scale: float) -> int:
     """Raw word of -(16 + 2^-10) / scale, rounded away from zero, so that
     the floor times ``scale`` lies below -16, where sec_exp clamps."""
-    raw = math.ceil((16 + Fraction(1, 1024)) * 2**F / Fraction(scale))
+    raw = math.ceil((Fraction(-EXP_DOMAIN[0]) + Fraction(1, 1024)) * 2**F
+                    / Fraction(scale))
     return int(as_word(-raw))
 
 
@@ -519,7 +520,7 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
     eps_select = float(budget.epsilon_select)
     bias = tuple(expected_noise_l1(noise_kind, scale, q.size(schema))
                  for q in workload.queries)
-    params = SelectScoreParams("AIM", eps_select, bias, max(workload.weights)) \
+    params = SelectScoreParams("AIM", eps_select, bias) \
         if algo == "AIM" else SelectScoreParams("MWEM", eps_select)
     _check_exponent_scale(n, params, workload)
 
@@ -555,7 +556,7 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
         })
 
     rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_SAMPLE_PURPOSE, 0)))
+        np.random.SeedSequence(entropy=seed, spawn_key=(PURPOSE_SAMPLE, 0)))
     synthetic = sample_synthetic(dist, n, rng)
     log = {
         "rounds": rounds_log,

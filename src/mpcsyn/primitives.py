@@ -117,7 +117,7 @@ def sec_cmp(eng, x, y, mode: str):
     """Signed fixed-point comparison; returns a shared 0/1 indicator.
 
     Range contract: |decode| < 2^(62-F) on both sides so x - y cannot
-    wrap, checked by ``require``. LT/GT/GTE all cost one comparison
+    wrap, checked by ``require``. LT and GT each cost one comparison
     (counted under "gt").
     """
     for v in (x, y):
@@ -127,15 +127,10 @@ def sec_cmp(eng, x, y, mode: str):
         d = eng.sub(x, y)
     elif mode == "GT":
         d = eng.sub(y, x)
-    elif mode == "GTE":
-        d = eng.sub(x, y)
     else:
         raise ValueError(f"unknown comparison mode {mode!r}")
     eng.count("gt", d.size)
-    sign = eng.index(eng.value_bits(d, (63,)), 0)  # signed d < 0
-    if mode == "GTE":
-        return eng.sub(eng.const_vec(np.broadcast_to(np.uint64(1), sign.shape).copy()), sign)
-    return sign
+    return eng.index(eng.value_bits(d, (63,)), 0)  # signed d < 0
 
 
 def sec_max(eng, xs):

@@ -113,10 +113,12 @@ def _lift(a: np.ndarray, lead: int, ndim: int) -> np.ndarray:
 # (master seed, purpose, pair)). Purposes are separated so that the
 # DP-level "noise" stream is consumed identically by the mpc and cdp
 # backends regardless of how many masked openings the mpc side performs.
+# The pipeline's public synthetic-row sampler draws from its own purpose.
 _PURPOSE_ZERO_SHARE = 0
 _PURPOSE_MASK = 1
 _PURPOSE_NOISE = 2
 _PURPOSE_INPUT = 3
+PURPOSE_SAMPLE = 4
 
 
 class IntegrityError(RuntimeError):

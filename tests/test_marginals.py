@@ -56,26 +56,32 @@ def test_workload_weights():
 def test_local_compute_pinned_examples():
     eng = make_engine("cdp", seed=80)
     schema = small_schema()
-    wl = M.Workload((M.Query((0,)), M.Query((0, 1))))
+    local = [M.Query((0,)), M.Query((0, 1))]
     # horizontal holder with rows (0,1),(1,1): q={a1} -> [1,1]
     h = M.Holding((0, 2), (0, 1))
     partials, cells = M.local_compute(
-        eng, np.array([[0, 1], [1, 1]]), h, wl, schema, qstar=[], share_cells=False
+        eng, np.array([[0, 1], [1, 1]]), h, local, schema, share_cells=False
     )
     assert eng.reconstruct(partials[M.Query((0,))]).tolist() == [1, 1]
     assert eng.reconstruct(partials[M.Query((0, 1))]).tolist() == [0, 1, 0, 1]
     assert cells is None
-    # vertical holder owning only a1: 2-way query forced to zeros
+    # vertical holder owning only a1: nothing shared for the 2-way query
     h = M.Holding((0, 2), (0,))
     partials, cells = M.local_compute(
-        eng, np.array([[0], [1]]), h, wl, schema, qstar=[M.Query((0, 1))], share_cells=True
+        eng, np.array([[0], [1]]), h, local, schema, share_cells=True
     )
-    assert eng.reconstruct(partials[M.Query((0, 1))]).tolist() == [0, 0, 0, 0]
+    assert list(partials) == [M.Query((0,))]
+    assert eng.reconstruct(partials[M.Query((0,))]).tolist() == [1, 1]
     assert cells.shape == (2, 1)
+    # only the listed queries are answered, even where the holding covers more
+    partials, _ = M.local_compute(
+        eng, np.array([[0], [1]]), h, [], schema, share_cells=False
+    )
+    assert partials == {}
     # empty holder: all-zero partials
     h = M.Holding((0, 0), (0, 1))
     partials, _ = M.local_compute(
-        eng, np.zeros((0, 2), dtype=int), h, wl, schema, qstar=[], share_cells=False
+        eng, np.zeros((0, 2), dtype=int), h, local, schema, share_cells=False
     )
     assert eng.reconstruct(partials[M.Query((0,))]).tolist() == [0, 0]
 
@@ -84,7 +90,7 @@ def test_local_compute_rejects_bad_shape():
     eng = make_engine("cdp", seed=81)
     h = M.Holding((0, 2), (0, 1))
     with pytest.raises(M.SchemaError):
-        M.local_compute(eng, np.zeros((2, 1), dtype=int), h, M.Workload(()), small_schema(), [], False)
+        M.local_compute(eng, np.zeros((2, 1), dtype=int), h, [], small_schema(), False)
 
 
 @pytest.mark.parametrize("backend", ("mpc", "cdp"))
@@ -124,8 +130,18 @@ def test_pi_comp_empty_qstar_runs_no_equality_tests():
 
 def test_pi_comp_missing_shared_data():
     eng = make_engine("cdp", seed=85)
+    wl = M.Workload((M.Query((0,)), M.Query((1,))))
+    # no holder answered any query
     with pytest.raises(M.OrchestrationError):
-        M.pi_comp(eng, [], M.Workload((M.Query((0,)),)), [M.Query((0,))], shared_data=None)
+        M.pi_comp(eng, [], wl, shared_data=None)
+    # a holder answered a1 but none answered a2
+    partials = {M.Query((0,)): eng.share(np.array([1, 1], dtype=np.uint64))}
+    with pytest.raises(M.OrchestrationError):
+        M.pi_comp(eng, [partials], wl, shared_data=None)
+    # every query answered: no table needed
+    partials[M.Query((1,))] = eng.share(np.array([2, 0], dtype=np.uint64))
+    ans = M.pi_comp(eng, [partials, partials], wl, shared_data=None)
+    assert eng.reconstruct(ans[M.Query((1,))]).tolist() == [4, 0]
 
 
 @pytest.mark.parametrize("backend", ("mpc", "cdp"))
@@ -190,13 +206,13 @@ def test_local_compute_rejects_values_outside_cardinality(backend):
     for bad in ([[0, 1], [5, 0], [1, 1]], [[0, 1], [1, -1], [1, 1]]):
         eng = make_engine(backend, seed=82)
         with pytest.raises(M.SchemaError):
-            M.local_compute(eng, np.array(bad), h, wl, schema, qstar=[], share_cells=True)
+            M.local_compute(eng, np.array(bad), h, wl.queries, schema, share_cells=True)
         # rejected on the plaintext, before anything was shared
         assert eng.transcript.msg_count == 0
     vert = M.Holding((0, 2), (1,))
     with pytest.raises(M.SchemaError):
-        M.local_compute(make_engine(backend, seed=83), np.array([[1], [2]]), vert, wl,
-                        schema, qstar=[M.Query((0, 1))], share_cells=True)
+        M.local_compute(make_engine(backend, seed=83), np.array([[1], [2]]), vert, [],
+                        schema, share_cells=True)
 
 
 @pytest.mark.parametrize("backend", ("mpc", "cdp"))
@@ -236,8 +252,8 @@ def test_p_way_mask_bits_follow_cardinality_widths():
 
 
 def test_p_way_exact_across_chunks(monkeypatch):
-    # 60 rows per 256-element chunk: 4 cells a chunk, so 24 cells take 6
-    # chunks, the last one short, and each chunk opens the columns again
+    # 24 cells per 256-element chunk: 10 rows a chunk, so 60 rows take 6
+    # chunks, and each row of each queried column is opened once
     monkeypatch.setattr(M, "_CHUNK_ELEMS", 256)
     schema = M.Schema((M.AttrDomain("a", 3), M.AttrDomain("b", 2), M.AttrDomain("c", 4)))
     rows = np.random.default_rng(99).integers(0, (3, 2, 4), size=(60, 3))
@@ -248,6 +264,11 @@ def test_p_way_exact_across_chunks(monkeypatch):
         got[backend] = eng.reconstruct(
             M.p_way_marginal(eng, eng.share(rows.astype(np.uint64)), q, schema))
         assert eng.transcript.counters["eq"] == 3 * 60 * 24
+        assert eng.transcript.counters["mul"] == 2 * 60 * 24
+        if backend == "mpc":
+            assert eng.transcript.counters["masked_open"] == 3 * 60
+            # widths (3-1, 2-1, 4-1).bit_length() = (2, 1, 2) mask bits per row
+            assert eng.transcript.counters["mask_bit"] == (2 + 1 + 2) * 60
     assert np.array_equal(got["mpc"], got["cdp"])
     assert np.array_equal(got["mpc"].astype(np.int64), M.exact_marginal(rows, q, schema))
 
@@ -326,3 +347,93 @@ def test_horizontal_messages_linear_in_holders():
         msgs[n_holders] = eng.transcript.msg_count
     # pure aggregation: 2 sharing messages per holder per query, nothing else
     assert msgs[2] == 2 * 2 * 3 and msgs[4] == 4 * 2 * 3 and msgs[8] == 8 * 2 * 3
+
+
+def _tiles_rows(plan, n, q):
+    """Reference for ``split_queries``: the holders owning all of q's
+    attributes cover every row exactly once."""
+    cover = np.zeros(n, dtype=np.int64)
+    for h in plan.holders:
+        if set(q.attrs) <= set(h.attrs):
+            cover[h.rows[0] : h.rows[1]] += 1
+    return bool((cover == 1).all())
+
+
+def test_split_queries_mixed_plans_and_empty_query():
+    from itertools import combinations
+
+    mixed = M.PartitionPlan((
+        M.Holding((0, 20), (0, 1, 2)),
+        M.Holding((20, 40), (0,)), M.Holding((20, 40), (1, 2)),
+    ))
+    quadrants = M.PartitionPlan((
+        M.Holding((0, 20), (0, 1)), M.Holding((0, 20), (2, 3)),
+        M.Holding((20, 40), (0, 2)), M.Holding((20, 40), (1, 3)),
+    ))
+    cases = [
+        # (0,) and (1, 2) are tiled by the full holder and a bottom one;
+        # only the full holder owns (0, 1), so it covers half the rows
+        (mixed, 3, {(0,), (1,), (2,), (1, 2)}),
+        # every single attribute is tiled, no pair is
+        (quadrants, 4, {(0,), (1,), (2,), (3,)}),
+        (M.horizontal_plan(40, 3, 3), 3, None),  # everything local
+        (M.vertical_plan(40, 3, [[0, 2], [1]]), 3, {(0,), (1,), (2,), (0, 2)}),
+        (M.PartitionPlan((M.Holding((0, 40), (0, 1, 2)),)), 3, None),
+    ]
+    for plan, d, want in cases:
+        plan.validate(40, d)
+        queries = tuple(M.Query(a) for k in range(d + 1)
+                        for a in combinations(range(d), k))
+        local, qstar = M.split_queries(plan, 40, M.Workload(queries))
+        assert local + qstar == sorted(queries, key=lambda q: q not in local)
+        assert local == [q for q in queries if _tiles_rows(plan, 40, q)], plan
+        if want is not None:
+            assert {q.attrs for q in local} == want, plan
+        # the empty query is owned by every holder: local iff the holders
+        # do not share rows, as in a horizontal split
+        empty_local = all(h.attrs == tuple(range(d)) for h in plan.holders)
+        assert (M.Query(()) in local) == empty_local, plan
+
+
+@pytest.mark.parametrize("case", ["vertical-join", "mixed"])
+def test_input_phase_traffic_closed_form(case):
+    # each holder shares one count vector per local query it covers and,
+    # when Q* is nonempty, its cells: a sharing sends two parties two
+    # components each, 2 messages of 16 bytes an element
+    from mpcsyn import dataio
+
+    if case == "vertical-join":
+        ds, plan = dataio.partition(dataio.make_toy_dataset(200, 5), "vertical:2")
+    else:
+        rows = np.random.default_rng(7).integers(0, (3, 2, 4), size=(40, 3))
+        ds = M.Dataset(rows, M.Schema((M.AttrDomain("a", 3), M.AttrDomain("b", 2),
+                                       M.AttrDomain("c", 4))))
+        plan = M.PartitionPlan((
+            M.Holding((0, 20), (0, 1, 2)),
+            M.Holding((20, 40), (0,)), M.Holding((20, 40), (1, 2)),
+        ))
+    wl = dataio.build_workload(ds.schema)
+    local, qstar = M.split_queries(plan, ds.n, wl)
+    assert qstar
+    covered = [(h, q) for h in plan.holders for q in local
+               if set(q.attrs) <= set(h.attrs)]
+    messages = 2 * len(covered) + 2 * len(plan.holders)
+    nbytes = 2 * 16 * (sum(q.size(ds.schema) for _, q in covered)
+                   + sum(h.n_rows * len(h.attrs) for h in plan.holders))
+    eng = make_engine("mpc", seed=8)
+    M.compute_workload_answers(eng, ds, plan, wl)
+    top = eng.transcript.summary()["scopes"]["top"]
+    assert top == {"messages": messages, "bytes": nbytes}
+    if case == "vertical-join":
+        # 9 of the 15 queries are local, each covered by one holder
+        assert (len(local), messages) == (9, 22)
+
+
+@pytest.mark.parametrize("backend", ("mpc", "cdp"))
+def test_p_way_empty_table_counts_zero(backend, monkeypatch):
+    monkeypatch.setattr(M, "_CHUNK_ELEMS", 16)
+    schema = M.Schema((M.AttrDomain("a", 3), M.AttrDomain("b", 2)))
+    eng = make_engine(backend, seed=100)
+    empty = eng.share(np.zeros((0, 2), dtype=np.uint64))
+    got = eng.reconstruct(M.p_way_marginal(eng, empty, M.Query((0, 1)), schema))
+    assert got.tolist() == [0] * 6

@@ -312,11 +312,19 @@ def test_mw_update_step_layout_matches_broadcast(monkeypatch, min_run):
         assert np.array_equal(replayed, _broadcast_mw(dist, ms[:k + 1], n)), k
 
 
-def test_select_score_params_validation():
+def test_select_score_params_validation(monkeypatch):
     with pytest.raises(ValueError):
         SelectScoreParams("PGM", 1.0)
-    with pytest.raises(ValueError):
-        SelectScoreParams("AIM", 1.0, (0.0,), 0.0)
+    # all-zero AIM weights leave no sensitivity to scale the scores by:
+    # refused before an engine is created
+    ds, wl = _toy_instance(n=40, seed=9)
+    zero = Workload(wl.queries, (0.0,) * len(wl.queries))
+    monkeypatch.setattr(pipeline, "make_engine", _engine_created)
+    for backend in BACKENDS:
+        with pytest.raises(ValueError, match="positive workload weight"):
+            run_pipeline(ds, horizontal_plan(40, 3, 2), zero,
+                         PrivacyBudget(1.0, 1e-9, 1), algo="AIM",
+                         noise_kind="laplace-sign", backend=backend, seed=2)
 
 
 def test_select_aim_prefers_high_error_query():
@@ -324,7 +332,7 @@ def test_select_aim_prefers_high_error_query():
     # always (worst competitor weight is the e^-16 exponent clamp)
     schema = small_schema([2, 2, 2])
     wl = Workload(tuple(Query((j,)) for j in range(3)))
-    params = SelectScoreParams("AIM", 4.0, (0.0, 0.0, 0.0), 1.0)
+    params = SelectScoreParams("AIM", 4.0, (0.0, 0.0, 0.0))
     hits = 0
     for seed in range(100):
         eng = make_engine("cdp", seed=seed)
@@ -338,7 +346,7 @@ def test_select_aim_prefers_high_error_query():
 
 def test_select_aim_uniform_when_scores_tie():
     wl = Workload(tuple(Query((j,)) for j in range(4)))
-    params = SelectScoreParams("AIM", 1.0, (0.0,) * 4, 1.0)
+    params = SelectScoreParams("AIM", 1.0, (0.0,) * 4)
     eng = make_engine("cdp", seed=51)
     counts = share_counts(eng, [[30, 30]] * 4)
     model = [np.array([25.0, 35.0])] * 4
@@ -354,7 +362,7 @@ def test_select_aim_uniform_when_scores_tie():
 def test_select_aim_heterogeneous_weights_bias_choice():
     # equal raw errors, one query upweighted 8x: it should dominate
     wl = Workload(tuple(Query((j,)) for j in range(3)), (1.0, 8.0, 1.0))
-    params = SelectScoreParams("AIM", 2.0, (0.0,) * 3, 8.0)
+    params = SelectScoreParams("AIM", 2.0, (0.0,) * 3)
     eng = make_engine("cdp", seed=13)
     counts = share_counts(eng, [[40, 20]] * 3)
     model = [np.array([30.0, 30.0])] * 3
@@ -411,7 +419,7 @@ def test_select_backends_agree(algo):
             shared = share_counts(eng, counts)
             if algo == "AIM":
                 params = SelectScoreParams(
-                    "AIM", 1.0, tuple(1.0 for _ in range(nq)), 1.0)
+                    "AIM", 1.0, tuple(1.0 for _ in range(nq)))
                 picks.append(select_aim(eng, shared, model, wl, params))
             else:
                 picks.append(select_mwem(eng, shared, model, wl, 1.0))
@@ -440,7 +448,7 @@ def _per_query_selection_weights(eng, shared_counts, model_answers, workload,
     )
     exponent_scale = 0.5 * params.epsilon_select
     if params.algo == "AIM":
-        exponent_scale /= params.max_sensitivity
+        exponent_scale /= max(workload.weights)
         scores = eng.sub_const(scores, fixed.encode(
             np.asarray(params.bias, dtype=np.float64)))
         weights = [float(w) for w in workload.weights]
@@ -474,7 +482,7 @@ def test_selection_weights_one_pass_matches_per_query(backend, algo, weights):
         counts = [rng.integers(0, 40, size=k) for k in sizes]
         model = [rng.uniform(0, 40, size=k) for k in sizes]
         bias = tuple(rng.uniform(0, 30, size=len(sizes)))
-        params = SelectScoreParams("AIM", 0.05, bias, max(wl.weights)) \
+        params = SelectScoreParams("AIM", 0.05, bias) \
             if algo == "AIM" else SelectScoreParams("MWEM", 0.05)
         runs = []
         for fn in (pipeline._selection_weights, _per_query_selection_weights):
@@ -496,15 +504,15 @@ def test_score_shift_edges():
         assert pipeline._score_shift(rows, SelectScoreParams("MWEM", 1.0), one) == k, rows
     # AIM, uniform weights: 2n + 1 plus the bias spread
     for bias, k in (((5.0, 32_771.0), 0), ((5.0, 32_772.0), 1)):
-        params = SelectScoreParams("AIM", 1.0, bias, 1.0)
+        params = SelectScoreParams("AIM", 1.0, bias)
         assert pipeline._score_shift(0, params, one) == k, bias
     # non-uniform weights: (2n + 1 + max bias) times the largest weight
     weighted = Workload(one.queries, (0.5, 2.0))
     for bias, k in (((0.0, 16_382.0), 0), ((0.0, 16_383.0), 1)):
-        params = SelectScoreParams("AIM", 1.0, bias, 2.0)
+        params = SelectScoreParams("AIM", 1.0, bias)
         assert pipeline._score_shift(0, params, weighted) == k, bias
     with pytest.raises(ValueError, match="nonnegative"):
-        SelectScoreParams("AIM", 1.0, (-1.0, 0.0), 1.0)
+        SelectScoreParams("AIM", 1.0, (-1.0, 0.0))
 
 
 @pytest.mark.parametrize("rows,k", [(16_383, 0), (16_384, 1)])

@@ -151,7 +151,6 @@ def test_sec_cmp_range_contract_edge(backend):
     y = eng.share(fixed.as_word(np.array([-edge, edge, edge, edge])))
     assert np.array_equal(eng.reconstruct(prim.sec_cmp(eng, x, y, "LT")), [0, 1, 1, 0])
     assert np.array_equal(eng.reconstruct(prim.sec_cmp(eng, x, y, "GT")), [1, 0, 0, 0])
-    assert np.array_equal(eng.reconstruct(prim.sec_cmp(eng, x, y, "GTE")), [1, 0, 0, 1])
     if backend == "cdp":
         for bad in (1 << 62, -(1 << 62)):  # 2^30 and -2^30
             for a, b in ((bad, 0), (0, bad)):
@@ -169,7 +168,7 @@ def test_sec_cmp_random_pairs_match_plaintext(backend):
     # make ties exercised too
     b[::7] = a[::7]
     xa, xb = eng.share(fixed.encode(a)), eng.share(fixed.encode(b))
-    for mode, ref in (("LT", a < b), ("GT", a > b), ("GTE", a >= b)):
+    for mode, ref in (("LT", a < b), ("GT", a > b)):
         got = eng.reconstruct(prim.sec_cmp(eng, xa, xb, mode))
         assert np.array_equal(got, ref.astype(np.uint64)), mode
 
