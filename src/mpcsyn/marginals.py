@@ -14,9 +14,10 @@ Every shared cell lies in [0, cardinality): ``local_compute`` rejects a
 holder's plaintext outside it before anything is shared. So a cell and a
 candidate value differ by at most cardinality - 1 < 2^b with
 b = (cardinality - 1).bit_length(), and each equality test runs at width
-b: b - 1 ANDs per compared cell instead of 63. Each row of a column is
-opened under a mask once for all the candidate values it meets, so the
-b mask bits and the opened word are paid per row, not per compared cell.
+b. Each row of a column is opened under a mask once for all the
+candidate values it meets, so the b mask bits, the opened word and the
+floor(b/2) products that build the mask's 2-bit one-hots are paid per
+row; a compared cell costs ceil(b/2) - 1 ANDs, none at b <= 2.
 """
 
 from __future__ import annotations
@@ -312,13 +313,18 @@ def p_way_marginal(eng, shared_data, query: Query, schema: Schema):
     Contract: every shared cell of a queried attribute lies in
     [0, cardinality). The test on an attribute then runs at width
     b = (cardinality - 1).bit_length() (``sec_eq``'s ``nbits``), taken
-    from the public schema: b - 1 ANDs per compared cell, and b mask bits
-    and one opened word per row, since each chunk of rows compares the
-    (1, rows) slice of the column with all (cells, 1) values in one
-    ``sec_eq``; the chunks' counts add up. A cell of 2^b or more breaks
-    the width contract; the plaintext engine raises ``RangeContractError``
-    on it.
+    from the public schema: ceil(b/2) - 1 ANDs per compared cell, and b
+    mask bits, one opened word and floor(b/2) products per row, since
+    each chunk of rows compares the (1, rows) slice of the column with
+    all (cells, 1) values in one ``sec_eq``; the chunks' counts add up. A
+    cell of 2^b or more breaks the width contract; the plaintext engine
+    raises ``RangeContractError`` on it.
+
+    The empty query's one cell counts every row: it is the public row
+    count, a constant, with no protocol.
     """
+    if not query.attrs:
+        return eng.const_vec(as_word([shared_data.shape[0]]))
     sizes = [schema.attrs[a].cardinality for a in query.attrs]
     total = prod(sizes)
     if total > DEFAULT_CELL_BUDGET:

@@ -91,9 +91,10 @@ def sec_eq(eng, x, other, nbits: int = 64):
     equality, Catrina-de Hoogh). The default of 64 holds for any words.
     The engine's ``eq_public`` tests the low ``nbits`` bits of d, opening
     x once for all of its public targets (x - other against 0 for a
-    shared one). Cost: ``nbits`` mask bits and one opened word per
-    element of x, nbits - 1 ANDs per output element in a tree of depth
-    ceil(log2 nbits), so 3 + ceil(log2 nbits) rounds.
+    shared one), and reads each 2-bit chunk's test off a shared one-hot
+    of the mask. Cost: ``nbits`` mask bits, one opened word and
+    floor(nbits/2) products per element of x, ceil(nbits/2) - 1 ANDs per
+    output element, and 3 + ceil(log2 nbits) rounds.
     """
     check_width(nbits)
     if isinstance(other, (int, np.integer, np.ndarray)):

@@ -491,7 +491,8 @@ class _EngineBase:
     def reduce_pairs(self, x, combine):
         """Reduce axis 0 by halving: each level combines elements 2i and
         2i + 1 and carries an odd last one, so len - 1 combines in
-        ceil(log2 len) levels."""
+        ceil(log2 len) levels. ``eq_public`` ANDs its chunk indicators
+        this way, and ``sec_max`` runs its tournament."""
         length = x.shape[0]
         while length > 1:
             half = length // 2
@@ -526,15 +527,6 @@ def _add_public(data: np.ndarray, raws) -> None:
     convention (component c0: party 1's first slot, party 3's second)."""
     data[0, 0, ...] += raws
     data[2, 1, ...] += raws
-
-
-def _equal_bits(bits: np.ndarray, pub: np.ndarray) -> np.ndarray:
-    """Share array of [b == p] for shared bits b and public bits p, which
-    broadcast: b XOR (1 - p) = (1 - p) + (2p - 1) b, local."""
-    one = np.uint64(1)
-    same = bits * ((pub << one) - one)
-    _add_public(same, one - pub)
-    return same
 
 
 def _xor_public(data: np.ndarray, word) -> np.ndarray:
@@ -978,19 +970,44 @@ class Mpc3Engine(_EngineBase):
         broadcast of x's and pub's shapes.
 
         One masked opening of x serves every target: m = x + r is open, so
-        m - pub is public, and x == pub there iff every low bit of m - pub
-        equals its mask bit. Each of these bit tests is local
-        (``_equal_bits``); an AND tree of nbits - 1 multiplications per
-        output element (``reduce_pairs``) joins them. Cost: ``nbits`` mask
-        bits and one opened word per element of x, nbits - 1 ANDs per
-        output element, 3 + ceil(log2 nbits) rounds.
+        d = m - pub is public, and x == pub there iff the low ``nbits``
+        bits of d equal those of r. The mask bits pair into 2-bit chunks
+        (a lone top bit is a chunk of its own), and one multiplication
+        r_2i r_2i+1 per pair gives each chunk's shared one-hot over its 4
+        values, linear in the two bits and their product (one-time truth
+        tables, Ishai et al., TCC 2013). Chunk i's indicator for a target
+        is then a local lookup of its one-hot at bits 2i, 2i + 1 of d, and
+        ``reduce_pairs`` ANDs the ceil(nbits/2) indicators per output
+        element. Cost: ``nbits`` mask bits, one opened word and
+        floor(nbits/2) products per element of x, ceil(nbits/2) - 1 ANDs
+        per output element, 3 + ceil(log2 nbits) rounds.
         """
         pub = as_word(pub)
         ndim = max(len(x.shape), pub.ndim)
         x = self.reshape(x, (1,) * (ndim - len(x.shape)) + x.shape)
         m, mask = self.masked_open(x, nbits)
-        same = _equal_bits(mask.bits.data, _pub_bits(np.subtract(m, pub), range(nbits)))
-        return self.reduce_pairs(ShareVec(same), self._mul_raw)
+        bits, pairs, chunks = mask.bits.data, nbits // 2, (nbits + 1) // 2
+        # hot[:, :, i, v]: chunk i of r equals v, as [1 - r0 - r1 + p, r0 - p, r1 - p, p]
+        hot = np.zeros((3, 2, chunks, 4) + x.shape, dtype=U64)
+        hot[:, :, :, 1] = bits[:, :, 0::2]
+        if pairs:
+            hi = bits[:, :, 1::2]
+            p = self._mul_raw(ShareVec(bits[:, :, 0:2 * pairs:2]), ShareVec(hi)).data
+            hot[:, :, :pairs, 1] -= p
+            np.subtract(hi, p, out=hot[:, :, :pairs, 2])
+            hot[:, :, :pairs, 3] = p
+        np.negative(hot[:, :, :, 1:].sum(axis=3, dtype=U64), out=hot[:, :, :, 0])
+        _add_public(hot[:, :, :, 0], np.uint64(1))
+        # flat index of hot[:, :, i, chunk i of d, x's element]: one take for all
+        d = np.subtract(m, pub) & np.uint64(MASK64 >> (64 - nbits))
+        flat = (d >> _lift(_BIT_POS[:nbits:2], 1, ndim)).view(np.int64)
+        flat &= 3
+        size = x.size
+        flat *= size
+        flat += (np.arange(chunks) * (4 * size)).reshape((chunks,) + (1,) * ndim) \
+            + np.arange(size).reshape(x.shape)
+        hits = np.take(hot.reshape(6, 4 * chunks * size), flat, axis=1)
+        return self.reduce_pairs(ShareVec(hits.reshape((3, 2) + flat.shape)), self._mul_raw)
 
     def trunc(self, x: ShareVec, g: int = F) -> ShareVec:
         """Exact arithmetic right shift by g bits of the shared 64-bit value.

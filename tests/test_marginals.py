@@ -437,3 +437,62 @@ def test_p_way_empty_table_counts_zero(backend, monkeypatch):
     empty = eng.share(np.zeros((0, 2), dtype=np.uint64))
     got = eng.reconstruct(M.p_way_marginal(eng, empty, M.Query((0, 1)), schema))
     assert got.tolist() == [0] * 6
+
+
+@pytest.mark.parametrize("backend", ("mpc", "cdp"))
+def test_empty_query_on_column_split_answers_row_count(backend):
+    # two holders share rows, so the empty query goes to Q*; its one cell
+    # is the public row count, as a horizontal plan answers it
+    rows = np.array([[0, 1], [1, 1], [1, 0]])
+    ds = M.Dataset(rows, small_schema())
+    wl = M.Workload((M.Query(()), M.Query((0,))))
+    answers = {}
+    for name, plan in (("vertical", M.vertical_plan(3, 2, [[0], [1]])),
+                       ("horizontal", M.horizontal_plan(3, 2, 2))):
+        eng = make_engine(backend, seed=101)
+        ans = M.compute_workload_answers(eng, ds, plan, wl)
+        answers[name] = {q: eng.reconstruct(ans[q]).tolist() for q in wl.queries}
+        assert "pi_comp" not in eng.transcript.summary()["scopes"], name
+    assert answers["vertical"] == answers["horizontal"]
+    assert answers["vertical"][M.Query(())] == [3]
+
+
+def _pi_comp_bytes(schema, qstar, n):
+    """Closed form of the aggregation bytes over Q*: per queried attribute
+    of width b, two resharings of b mask bits (48 b), one opening (48) and
+    floor(b/2) one-hot products (24 each) per row, then ceil(b/2) - 1
+    chunk ANDs per compared cell; k - 1 products join a cell's k tests."""
+    total = 0
+    for q in qstar:
+        cells = q.size(schema)
+        for a in q.attrs:
+            b = (schema.attrs[a].cardinality - 1).bit_length()
+            total += (48 * b + 48 + 24 * (b // 2)) * n
+            total += 24 * ((b + 1) // 2 - 1) * cells * n
+        total += 24 * (q.k - 1) * cells * n
+    return total
+
+
+@pytest.mark.parametrize("case", ["vertical-join", "wide"])
+def test_pi_comp_bytes_closed_form_on_vertical_plan(case):
+    from mpcsyn import dataio
+
+    if case == "vertical-join":
+        ds, plan = dataio.partition(dataio.make_toy_dataset(2000, 1), "vertical:2")
+    else:
+        # widths 3, 4 and 5 bits: a lone top chunk, and chunk ANDs per cell
+        cards = (5, 16, 17)
+        rows = np.random.default_rng(9).integers(0, cards, size=(30, 3))
+        ds = M.Dataset(rows, M.Schema(tuple(M.AttrDomain(f"a{i}", c)
+                                            for i, c in enumerate(cards))))
+        plan = M.vertical_plan(30, 3, [[0], [1, 2]])
+    wl = dataio.build_workload(ds.schema)
+    _, qstar = M.split_queries(plan, ds.n, wl)
+    eng = make_engine("mpc", seed=10)
+    ans = M.compute_workload_answers(eng, ds, plan, wl)
+    got = eng.transcript.summary()["scopes"]["pi_comp"]["bytes"]
+    assert got == _pi_comp_bytes(ds.schema, qstar, ds.n)
+    if case == "vertical-join":
+        assert (len(qstar), got) == (6, 7_104_000)
+    for q in qstar:
+        assert eng.reconstruct(ans[q]).tolist() == M.exact_marginal(ds.rows, q, ds.schema).tolist()

@@ -59,12 +59,18 @@ def _eq_records(n: int, nbits: int, targets: int = 1) -> list[tuple[int, int, in
     """(round, sender, receiver, bytes) of one sec_eq of n elements against
     ``targets`` public targets each, rounds counted from 1: two resharings
     of the nbits mask bits and one opening to all parties, per element,
-    then one resharing per level of the AND tree, per output element."""
+    then one resharing of the floor(nbits/2) products that build the
+    mask's 2-bit one-hots, per element, whatever the targets, then one
+    resharing per level of the AND over the ceil(nbits/2) chunk
+    indicators, per output element."""
     reshare = [(2, 1), (3, 2), (1, 3)]
     opening = [(2, 1), (3, 1), (3, 2), (1, 2), (1, 3), (2, 3)]
     recs = [(r, s, t, 8 * nbits * n) for r in (1, 2) for s, t in reshare]
     recs += [(3, s, t, 8 * n) for s, t in opening]
-    rnd, length = 3, nbits
+    rnd, length = 3, (nbits + 1) // 2
+    if nbits > 1:
+        rnd += 1
+        recs += [(rnd, s, t, 8 * (nbits // 2) * n) for s, t in reshare]
     while length > 1:
         rnd += 1
         recs += [(rnd, s, t, 8 * (length // 2) * n * targets) for s, t in reshare]
@@ -104,6 +110,24 @@ def test_sec_eq_broadcast_records_closed_form(nbits):
         recs = [(r - start, s, t, b) for r, _, s, t, b in eng.transcript.records[skip:]]
         assert recs == _eq_records(n, nbits, targets=5)
         assert eng.transcript.counters["eq"] == 5 * n
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sec_eq_every_in_contract_difference_against_all_targets(backend):
+    # x = 0..2^b-1 as a (1, L) row against every target 0..2^b-1 as an
+    # (L, 1) column meets every difference in (-2^b, 2^b)
+    for nbits in range(1, 7):
+        lim = 1 << nbits
+        x = np.arange(lim, dtype=np.uint64).reshape(1, lim)
+        targets = x.reshape(lim, 1)
+        eng = make_engine(backend, seed=114, record_messages=True)
+        shared = eng.share(x)
+        start, skip = eng.transcript.rounds, len(eng.transcript.records)
+        got = eng.reconstruct(prim.sec_eq(eng, shared, targets, nbits=nbits))
+        assert np.array_equal(got, (x == targets).astype(np.uint64)), nbits
+        assert eng.transcript.counters["eq"] == lim * lim
+        recs = [(r - start, s, t, b) for r, _, s, t, b in eng.transcript.records[skip:]]
+        assert recs == (_eq_records(lim, nbits, targets=lim) if backend == "mpc" else [])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
