@@ -18,7 +18,9 @@ and measure shares are Fractions that sum back to the configured total.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,8 +48,11 @@ from .primitives import EXP_DOMAIN, sec_cmp, sec_max, sec_softmax_unnorm
 from .rss import PURPOSE_SAMPLE, SCALE_PUB_LIMIT, make_engine
 
 MAX_JOINT_CELLS = 1_000_000
+# numpy's ufunc buffer, in elements, while the model update runs: numpy
+# copies each loop shorter than its buffer (8,192 by default) through it
+_UPDATE_BUFSIZE = 1 << 11
 # shortest inner loop, in cells, a model-update multiply is left to run
-_MIN_RUN = 1 << 11
+_MIN_RUN = _UPDATE_BUFSIZE
 
 _GAUSSIAN_KINDS = ("gaussian-irwin-hall", "gaussian-box-muller")
 # selection's exponent scale c * 2^k stays below this (_check_exponent_scale)
@@ -82,8 +87,15 @@ class PrivacyBudget:
             raise ValueError("epsilon_total must be positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if not (isinstance(self.rounds, int) and self.rounds >= 1):
-            raise ValueError("rounds must be a positive integer")
+        try:  # any integer type, numpy's too; a bool is not a count
+            rounds = None if isinstance(self.rounds, bool) \
+                else operator.index(self.rounds)
+        except TypeError:
+            rounds = None
+        if rounds is None or rounds < 1:
+            raise ValueError(
+                f"rounds must be a positive integer, got {self.rounds!r}")
+        object.__setattr__(self, "rounds", rounds)
 
     @property
     def epsilon_select(self) -> Fraction:
@@ -134,29 +146,46 @@ class PrivacyBudget:
         }
 
 
-def _partial_sum(full: np.ndarray, attrs: tuple, memo: dict) -> np.ndarray:
-    """Table over the sorted ``attrs`` of the full table ``full``.
+@functools.lru_cache(maxsize=None)
+def _reduction_plan(ndim: int, attrs: tuple) -> tuple:
+    """How a table over all ``ndim`` attributes reduces to the sorted
+    ``attrs``: the axes summed, in order, and the attributes left after
+    each sum.
 
-    The table over S is the table over S + {a}, a the largest attribute
-    outside S, summed over a's axis; the full set is ``full`` itself, and
-    every smaller table is kept read-only in ``memo``. Going down from the
-    full table, the lowest attributes outside S go first, so queries that
-    agree below their first missing attribute share each pass: a round's
-    1- and 2-way queries make a few full-table passes instead of one each.
-    Every caller reduces in this one order, so a marginal has the same
-    floats whichever table or memo it comes from.
+    This is the one reduction order: the lowest missing attribute goes
+    first, so the table over S is the table over S + {a}, a the largest
+    attribute outside S, summed over a's axis. Queries that agree below
+    their first missing attribute thus share every sum down from the
+    full table, and a marginal has the same floats whichever table, memo
+    or pass (``_mul_reduce``) computes it.
     """
-    if len(attrs) == full.ndim:
-        return full
-    hit = memo.get(attrs)
-    if hit is not None:
-        return hit
-    a = max(set(range(full.ndim)) - set(attrs))
-    parent = tuple(sorted(attrs + (a,)))
-    table = np.asarray(_partial_sum(full, parent, memo)
-                       .sum(axis=parent.index(a)))
-    table.flags.writeable = False  # cached: shared by every caller
-    memo[attrs] = table
+    missing = [a for a in range(ndim) if a not in attrs]
+    axes = tuple(a - j for j, a in enumerate(missing))
+    keys = tuple(tuple(sorted(attrs + tuple(missing[j + 1:])))
+                 for j in range(len(missing)))
+    return axes, keys
+
+
+def _partial_sum(full: np.ndarray, attrs: tuple, memo: dict) -> np.ndarray:
+    """Table over the sorted ``attrs`` of the full table ``full``, reduced
+    in ``_reduction_plan``'s order.
+
+    The walk starts from the smallest table on the way that ``memo``
+    holds (``full`` itself if none), and every table it sums is kept
+    read-only in ``memo``: a round's 1- and 2-way queries make a few
+    full-table passes instead of one each.
+    """
+    axes, keys = _reduction_plan(full.ndim, attrs)
+    table, start = full, 0
+    for j in range(len(keys) - 1, -1, -1):
+        hit = memo.get(keys[j])
+        if hit is not None:
+            table, start = hit, j + 1
+            break
+    for axis, key in zip(axes[start:], keys[start:]):
+        table = np.asarray(table.sum(axis=axis))
+        table.flags.writeable = False  # cached: shared by every caller
+        memo[key] = table
     return table
 
 
@@ -167,6 +196,9 @@ class JointDistribution:
     Marginals are memoized per instance (each round's ``mw_update`` builds
     one new instance), so ``probs`` is a read-only view; it is not a copy
     of the caller's array, which must not be written afterwards either.
+    Every marginal is reduced in the one order of ``_reduction_plan``, the
+    order ``mw_update``'s passes reduce the working table in, so the two
+    give the same floats.
     """
 
     probs: np.ndarray
@@ -404,6 +436,20 @@ def select_mwem(eng, shared_counts, model_answers, workload: Workload,
                    SelectScoreParams("MWEM", epsilon_select))
 
 
+@functools.lru_cache(maxsize=None)
+def _step_plan(attrs: tuple, shape: tuple, min_run: int):
+    """``_step_layout``'s plan: the step's shape broadcast against a table
+    of ``shape``, and the shape it is materialized to (None: left a
+    broadcast)."""
+    expanded = tuple(c if a in attrs else 1 for a, c in enumerate(shape))
+    lead = len(shape)
+    while lead > 0 and math.prod(shape[lead:]) < min_run:
+        lead -= 1
+    if not attrs or attrs[-1] < lead or math.prod(shape) < min_run:
+        return expanded, None
+    return expanded, expanded[:lead] + shape[lead:]
+
+
 def _step_layout(step: np.ndarray, attrs: tuple, shape: tuple) -> np.ndarray:
     """A step over the query ``attrs``, laid out against a table of ``shape``.
 
@@ -416,15 +462,51 @@ def _step_layout(step: np.ndarray, attrs: tuple, shape: tuple) -> np.ndarray:
     Either way every cell meets the same step value. The rule reads only
     the public shape.
     """
-    step = np.expand_dims(step, tuple(a for a in range(len(shape))
-                                      if a not in attrs))
-    lead = len(shape)
-    while lead > 0 and math.prod(shape[lead:]) < _MIN_RUN:
-        lead -= 1
-    if not attrs or attrs[-1] < lead or math.prod(shape) < _MIN_RUN:
-        return step
-    return np.ascontiguousarray(
-        np.broadcast_to(step, step.shape[:lead] + shape[lead:]))
+    expanded, full = _step_plan(attrs, shape, _MIN_RUN)
+    step = step.reshape(expanded)
+    return step if full is None \
+        else np.ascontiguousarray(np.broadcast_to(step, full))
+
+
+def _reduce(table: np.ndarray, axes: tuple) -> np.ndarray:
+    """``table`` summed over each of ``axes`` in turn."""
+    for axis in axes:
+        table = table.sum(axis=axis)
+    return np.asarray(table)
+
+
+def _mul_reduce(out: np.ndarray, src: np.ndarray, step: np.ndarray,
+                axes: tuple) -> np.ndarray:
+    """Write ``src * step`` into ``out`` and return the product summed
+    over ``axes`` (a ``_reduction_plan``), in one pass over axis-0 slabs.
+
+    Each slab is reduced while it is still in cache, in the plan's order:
+    when axis 0 goes first, the slabs are added up in order, as numpy sums
+    a leading axis; otherwise every sum keeps axis 0, and each slab is
+    reduced on its own. So the floats are ``_partial_sum``'s on the
+    product. A 1-attribute table is one slab: its slabs would be scalars,
+    and numpy sums a lone axis pairwise, not in order. With no axes the
+    product itself is returned.
+    """
+    if out.ndim == 1:
+        return _reduce(np.multiply(src, step, out=out), axes)
+    acc, parts = None, []
+    for i in range(out.shape[0]):
+        slab = np.multiply(src[i], step[i if step.shape[0] > 1 else 0],
+                           out=out[i])
+        if not axes:
+            continue
+        if axes[0] > 0:
+            parts.append(_reduce(slab, tuple(a - 1 for a in axes)))
+        elif i == 0:
+            acc = slab
+        elif i == 1:
+            acc = acc + slab  # a new array: slab 0 stays in the table
+        else:
+            acc += slab
+    if not axes:
+        return out
+    return np.stack(parts) if axes[0] > 0 else _reduce(acc, axes[1:])
 
 
 def mw_update(dist: JointDistribution, m: NoisyMeasurement, n: int, *,
@@ -432,35 +514,44 @@ def mw_update(dist: JointDistribution, m: NoisyMeasurement, n: int, *,
     """Multiplicative-weights steps toward noisy marginals: each of
     ``replay`` in order, then ``m``.
 
-    The steps run on one private working table: the first step's product
-    with the model's table is the copy, later steps multiply into it in
-    place, and only the result is wrapped (and validated) as a new
-    model. Each step reads its current marginal from the table it
-    updates: the first from the model's memo, the others by the same
-    reduction order on the working table. Since the step is constant
-    along the dropped axes, the normalizer sum_cells table * step equals
-    sum_(query cells) marginal * step, so the step is divided by that
-    small sum before the one full-table multiply. That multiply runs as
-    one pass with a long contiguous inner loop (``_step_layout``); it
-    forms the same products as a plain broadcast, so every float is
-    identical. A NaN or +inf in any measurement turns the result into
-    NaN and fails the validation. Post-processing only: consumes
-    NoisyMeasurements and the public model, never shares or raw rows.
+    The steps run on one private working table, one pass per step
+    (``_mul_reduce``): the first step writes its product with the model's
+    table into it, later steps multiply it in place, and only the result
+    is wrapped (and validated) as a new model. Each pass also reduces
+    every slab it has multiplied toward the next step's query, in the one
+    reduction order (``_reduction_plan``), so each step reads its current
+    marginal from the table it updates without another pass over it: the
+    first step reads it from the model's memo, and the last pass only
+    multiplies. Since the step is constant along the dropped axes, the
+    normalizer sum_cells table * step equals sum_(query cells) marginal *
+    step, so the step is divided by that small sum before the multiply.
+
+    The multiply runs with a long contiguous inner loop (``_step_layout``),
+    and numpy's ufunc buffer is cut to ``_UPDATE_BUFSIZE`` for the steps,
+    so that loops that long run in place, not copied through the buffer.
+    Products and sums are those of plain broadcast multiplies and
+    ``_partial_sum`` reductions, so every float is identical. A NaN or
+    +inf in any measurement turns the result into NaN and fails the
+    validation. Post-processing only: consumes NoisyMeasurements and the
+    public model, never shares or raw rows.
     """
     shape = dist.schema.cardinalities
-    table = None
-    for meas in (*replay, m):
-        attrs = meas.query.attrs
-        marg = dist._table(attrs) if table is None \
-            else _partial_sum(table, attrs, {})
-        target = np.asarray(meas.values, dtype=np.float64).reshape(marg.shape)
-        step = np.exp((target - n * marg) / (2.0 * n))
-        step /= (marg * step).sum()
-        step = _step_layout(step, attrs, shape)
-        if table is None:
-            table = dist.probs.reshape(shape) * step
-        else:
-            table *= step
+    steps = (*replay, m)
+    src, table = dist.probs.reshape(shape), np.empty(shape)
+    marg = dist._table(steps[0].query.attrs)
+    with np.errstate():  # restores the buffer size on exit
+        np.setbufsize(_UPDATE_BUFSIZE)
+        for k, meas in enumerate(steps):
+            attrs = meas.query.attrs
+            target = np.asarray(meas.values,
+                                dtype=np.float64).reshape(marg.shape)
+            step = np.exp((target - n * marg) / (2.0 * n))
+            step /= (marg * step).sum()
+            axes = _reduction_plan(len(shape), steps[k + 1].query.attrs)[0] \
+                if k + 1 < len(steps) else ()
+            marg = _mul_reduce(table, src, _step_layout(step, attrs, shape),
+                               axes)
+            src = table
     return JointDistribution(table.ravel(), dist.schema)
 
 

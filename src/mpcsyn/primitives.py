@@ -143,13 +143,19 @@ def sec_max(eng, xs):
 
 
 def _clamp(eng, x, lo: float, hi: float):
-    """Replace out-of-domain values by the nearest endpoint (two comparisons)."""
+    """Replace out-of-domain values by the nearest endpoint.
+
+    One batched comparison gives [x < lo] and [hi < x], and one product
+    scales each endpoint's distance from x by its indicator. Since lo < hi,
+    at most one indicator is set, so x + [x < lo](lo - x) + [hi < x](hi - x)
+    is the word that clamping below, then above, gives: 9 + 1 rounds.
+    """
     lo_c = _const_like(eng, x, lo)
     hi_c = _const_like(eng, x, hi)
-    below = sec_cmp(eng, x, lo_c, "LT")
-    x = eng.add(x, eng._mul_raw(below, eng.sub(lo_c, x)))
-    above = sec_cmp(eng, x, hi_c, "GT")
-    return eng.add(x, eng._mul_raw(above, eng.sub(hi_c, x)))
+    outside = sec_cmp(eng, eng.stack([x, hi_c]), eng.stack([lo_c, x]), "LT")
+    moves = eng._mul_raw(outside, eng.sub(eng.stack([lo_c, hi_c]),
+                                          eng.stack([x, x])))
+    return eng.add(x, eng.sum_axis(moves, 0))
 
 
 def _horner(eng, x, coeffs, frac_bits: int):

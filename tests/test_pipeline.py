@@ -4,6 +4,7 @@ import functools
 import inspect
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -310,6 +311,111 @@ def test_mw_update_step_layout_matches_broadcast(monkeypatch, min_run):
         assert np.array_equal(single, _broadcast_mw(dist, ms[k:k + 1], n)), k
         replayed = mw_update(dist, ms[k], n, replay=ms[:k]).probs
         assert np.array_equal(replayed, _broadcast_mw(dist, ms[:k + 1], n)), k
+
+
+def _lowest_first_sum(table, attrs):
+    """Table over ``attrs``, summed lowest missing attribute first: the
+    one reduction order, written out."""
+    missing = [a for a in range(table.ndim) if a not in attrs]
+    for j, a in enumerate(missing):
+        table = np.asarray(table.sum(axis=a - j))
+    return table
+
+
+def _random_cards(rng, dims, max_cells):
+    # cardinalities 2-11: from 8 on numpy sums a contiguous axis pairwise
+    while True:
+        cards = tuple(int(c) for c in rng.integers(2, 12, size=dims))
+        if math.prod(cards) <= max_cells:
+            return cards
+
+
+def test_partial_sum_memo_walk_matches_lowest_first_order():
+    rng = np.random.default_rng(30)
+    for trial in range(20):
+        cards = _random_cards(rng, 1 + trial % 5, 20_000)
+        table = _random_joint(cards, 100 + trial).reshape(cards)
+        subsets = _all_subsets(len(cards))
+        memo = {}
+        for i in rng.permutation(len(subsets)):  # memo hits at every depth
+            attrs = subsets[i]
+            got = pipeline._partial_sum(table, attrs, memo)
+            assert np.array_equal(got, _lowest_first_sum(table, attrs)), \
+                (cards, attrs)
+
+
+@pytest.mark.parametrize("bufsize", [None, pipeline._UPDATE_BUFSIZE])
+def test_mul_reduce_matches_memo_on_random_shapes(bufsize):
+    # the fused pass against a plain product and the memo's reductions,
+    # for every next query, on 60 shapes of 1-5 attributes
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        cards = _random_cards(rng, 1 + trial % 5, 20_000)
+        src = rng.random(cards)
+        attrs = tuple(a for a in range(len(cards)) if rng.random() < 0.5)
+        step = rng.random([cards[a] for a in attrs])
+        product = src * np.expand_dims(
+            step, tuple(a for a in range(len(cards)) if a not in attrs))
+        laid = pipeline._step_layout(step, attrs, cards)
+        for nxt in _all_subsets(len(cards)):
+            axes = pipeline._reduction_plan(len(cards), nxt)[0]
+            out = np.empty(cards)
+            with np.errstate():
+                if bufsize is not None:
+                    np.setbufsize(bufsize)
+                got = pipeline._mul_reduce(out, src, laid, axes)
+            assert np.array_equal(out, product), (cards, attrs)
+            want = pipeline._partial_sum(product, nxt, {})
+            assert got.shape == want.shape, (cards, attrs, nxt)
+            assert np.array_equal(got, want), (cards, attrs, nxt)
+
+
+def test_mul_reduce_sums_a_one_attribute_table_pairwise():
+    # a 1-attribute table's slabs are scalars: summed in order, they would
+    # miss the pairwise sum numpy takes of a lone axis from 8 cells on
+    rng = np.random.default_rng(32)
+    axes = pipeline._reduction_plan(1, ())[0]
+    in_order_differs = 0
+    for card in range(2, 40):
+        for _ in range(4):
+            src, step = rng.random(card), rng.random(card)
+            product = src * step
+            got = pipeline._mul_reduce(np.empty(card), src, step, axes)
+            assert np.array_equal(got, pipeline._partial_sum(product, (), {}))
+            in_order_differs += got != functools.reduce(operator.add,
+                                                        product.tolist())
+    assert in_order_differs  # the data tells the two orders apart
+
+
+@pytest.mark.parametrize("min_run", [None, 16])
+@pytest.mark.parametrize("cards", [(9,), (2,), (12, 3), (8, 9, 2),
+                                   (2, 11, 3, 8)])
+def test_mw_update_fused_pass_matches_broadcast(monkeypatch, cards, min_run):
+    # a 1-attribute schema, cardinalities from 8 on, next queries with and
+    # without attribute 0, and the empty and the full query mid-replay
+    if min_run is not None:
+        monkeypatch.setattr(pipeline, "_MIN_RUN", min_run)
+    d = len(cards)
+    schema = small_schema(cards)
+    n = 600
+    dist = JointDistribution(_random_joint(cards, 40 + d), schema)
+    full = tuple(range(d))
+    picks = [(0,), (d - 1,), (), full, tuple(range(1, d)), (0,), full, (),
+             (0, d - 1) if d > 1 else (0,), (d - 1,)]
+    ms = _noisy_measurements(dist, n, picks, 41 + d)
+    for k in range(len(ms)):
+        replayed = mw_update(dist, ms[k], n, replay=ms[:k]).probs
+        assert np.array_equal(replayed, _broadcast_mw(dist, ms[:k + 1], n)), k
+
+
+def test_privacy_budget_rounds_take_any_integer_type_but_bool():
+    b = PrivacyBudget(1.0, 1e-9, np.int64(3))
+    assert type(b.rounds) is int and b.rounds == 3
+    assert len(b.ledger()) == 3
+    assert json.loads(json.dumps(b.ledger_json("laplace-sign")))["rounds"] == 3
+    for bad in (True, False, np.True_, 2.0, "3"):
+        with pytest.raises(ValueError, match="rounds must be a positive integer"):
+            PrivacyBudget(1.0, 1e-9, bad)
 
 
 def test_select_score_params_validation(monkeypatch):

@@ -312,6 +312,41 @@ def test_elementary_out_of_domain_clamps(backend):
     assert got[1] == pytest.approx(math.log(2.0), abs=2**-10)
 
 
+def _sequential_clamp_words(x, lo: float, hi: float) -> np.ndarray:
+    """The words of clamping below, then above, on signed words x."""
+    s = x.view(np.int64)
+    lo_w, hi_w = (int(prim._enc_at(v, fixed.F).view(np.int64)) for v in (lo, hi))
+    below = np.where(s < lo_w, lo_w, s)
+    return np.where(below > hi_w, hi_w, below).astype(np.int64).view(np.uint64)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_clamp_words_at_domain_edges(backend):
+    # the batched clamp gives the words of the sequential one, at each
+    # domain edge, one ulp either side of it and well outside
+    ulp = 2.0**-fixed.F
+    for lo, hi in (prim.EXP_DOMAIN, prim.LN_DOMAIN, prim.SQRT_DOMAIN,
+                   prim.TRIG_DOMAIN):
+        vals = np.array([lo - 5, lo - ulp, lo, lo + ulp, (lo + hi) / 2,
+                         hi - ulp, hi, hi + ulp, hi + 5])
+        x = fixed.encode(vals).reshape(3, 3)
+        eng = make_engine(backend, seed=56)
+        got = eng.reconstruct(prim._clamp(eng, eng.share(x), lo, hi))
+        assert np.array_equal(got, _sequential_clamp_words(x, lo, hi)), (lo, hi)
+
+
+def test_clamp_rounds_and_counters():
+    # one batched comparison (mask 2 + opening 1 + borrow network 6) and
+    # one product: 9 + 1 rounds; still two comparisons per element
+    eng = Mpc3Engine(seed=57)
+    x = eng.share(fixed.encode(np.linspace(-20.0, 4.0, 7)))
+    before = eng.transcript.rounds
+    prim._clamp(eng, x, *prim.EXP_DOMAIN)
+    assert eng.transcript.rounds - before == 9 + 1
+    assert eng.transcript.counters["gt"] == 2 * 7
+    assert eng.transcript.counters["dabit"] == 2 * 7
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_sin_cos_quadrant_width_keeps_words(backend, monkeypatch):
     # the 3-bit quadrant one-hot reveals the words of the 64-bit one on a
