@@ -23,14 +23,16 @@ words (a suffix-OR scan follows for the one-hot), one AND round per
 level, so a 64-bit borrow costs 6 rounds. daBits, random bits shared both
 ways and drawn with the mask bits, turn the wanted bits arithmetic: the
 last level's AND is opened together with the daBit as bit ^ daBit, in
-the same round.
+the same round. ``_xor3`` turns stream bits arithmetic with one masked
+word per bit, and sums them first where the caller needs only public
+weighted sums (a mask's word, truncation's high part, a uniform draw).
 
 Ring arithmetic wraps mod 2^64 without any error-state handling: every
 ring op is a ufunc call or an operator on an array of at least one
 dimension, never operator arithmetic on two numpy scalars, which warns on
-overflow (see ``fixed``). Every weighted sum of shared bits (a mask's
-word, truncation's high part, a uniform draw, the power-of-two factors of
-the elementary functions) is one ``bit_sum``, a local matmul over axis 0.
+overflow (see ``fixed``). Every other weighted sum of shared bits (the
+power-of-two factors of the elementary functions, an equality mask's
+word) is one ``bit_sum``, a local matmul over axis 0.
 
 ``PlainEngine`` exposes the identical operation surface on plaintext
 words. It is the trusted-aggregator (cdp) backend: same fixed-point
@@ -252,16 +254,19 @@ class Mask:
     """The mask r of a masked opening, shared two ways, and its daBits.
 
     ``bits`` holds r's low ``nbits`` bits as arithmetic shares, stacked on
-    a new leading axis. A mask drawn with daBits also holds ``word``, the
-    same bits packed 64 to a word, one word per element, in the ShareVec
-    layout read as XOR shares (x = c0 ^ c1 ^ c2): the pairwise stream
-    words are its components, so it costs nothing (the edaBits
-    construction). A daBit is a random bit shared both ways: row i of
-    ``dabits`` is an arithmetic share of bit ``dabit_pos[i]`` of the
-    packed ``dabit_word``. A daBit masks one opened bit and is used once.
+    a new leading axis; a mask drawn with weight rows holds instead, in
+    ``sums``, one weighted sum of those bits per row. A mask drawn with
+    daBits also holds ``word``, the same bits packed 64 to a word, one
+    word per element, in the ShareVec layout read as XOR shares
+    (x = c0 ^ c1 ^ c2): the pairwise stream words are its components, so
+    it costs nothing (the edaBits construction). A daBit is a random bit
+    shared both ways: row i of ``dabits`` is an arithmetic share of bit
+    ``dabit_pos[i]`` of the packed ``dabit_word``. A daBit masks one
+    opened bit and is used once.
     """
 
-    bits: ShareVec
+    bits: ShareVec | None = None
+    sums: ShareVec | None = None
     dabit_pos: tuple[int, ...] = ()
     dabits: ShareVec | None = None
     word: ShareVec | None = None
@@ -342,8 +347,9 @@ class _EngineBase:
     def trunc(self, x, g: int = F):
         raise NotImplementedError
 
-    def _xor3(self, b0, b1, b2):
-        """Combine the three pairwise PRF bit arrays into one shared bit."""
+    def _xor3(self, b0, b1, b2, weights=None):
+        """Combine the three pairwise PRF bit arrays into shared bits, or
+        into the sums ``_weigh`` makes of them."""
         raise NotImplementedError
 
     def require(self, x, ok, what: str) -> None:
@@ -354,26 +360,28 @@ class _EngineBase:
 
     # -- shared randomness ----------------------------------------------------
 
-    def rand_bit(self, shape):
-        """Shared uniform bits, unknown to every single party (noise purpose)."""
+    def rand_bit(self, shape, weights=None):
+        """Shared uniform bits, unknown to every single party (noise purpose),
+        or with ``weights`` the sums ``_weigh`` makes of them."""
         shape = _as_shape(shape)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         self.count("rand_bit", n)
         inj = self._pop_injected(self._injected_bits, n)
         if inj is not None:
-            return self.const_vec(inj.reshape(shape))
+            return self.const_vec(_weigh(inj.reshape(shape), weights, 0))
         draws = [g.integers(0, 2, size=shape, dtype=U64) for g in self._noise_streams]
-        return self._xor3(*draws)
+        return self._xor3(*draws, weights)
 
     def rand_uniform01(self, shape):
-        """Shared uniform fixed-point value on {k * 2^-F : 0 <= k < 2^F}."""
+        """Shared uniform fixed-point value on {k * 2^-F : 0 <= k < 2^F}:
+        F random bits, summed with weights 2^j before their resharing."""
         shape = _as_shape(shape)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         inj = self._pop_injected(self._injected_uniform, n)
         if inj is not None:
             self.count("rand_bit", F * n)
             return self.const_vec(inj.reshape(shape))
-        return self.bit_sum(self.rand_bit((F,) + shape), _BIT_WEIGHTS[:F])
+        return self.index(self.rand_bit((F,) + shape, _BIT_WEIGHTS[None, :F]), 0)
 
     # -- generic derived operations -------------------------------------------
 
@@ -479,14 +487,8 @@ class _EngineBase:
         exact mod 2^64. ``weights`` are uint64 words or Python ints."""
         if not isinstance(weights, np.ndarray):
             weights = np.asarray(weights, dtype=object)  # ints of any size
-        w, lead = as_word(weights), self._lead
-
-        def weighted(a):
-            n = math.prod(a.shape[lead + 1:])
-            out = np.matmul(w, a.reshape(a.shape[:lead + 1] + (n,)))
-            return out.reshape(a.shape[:lead] + a.shape[lead + 1:])
-
-        return self._layout(weighted, bits)
+        w, lead = as_word(weights)[None], self._lead
+        return self._layout(lambda a: _weigh(a, w, lead)[(slice(None),) * lead + (0,)], bits)
 
     def reduce_pairs(self, x, combine):
         """Reduce axis 0 by halving: each level combines elements 2i and
@@ -506,6 +508,18 @@ class _EngineBase:
     def assemble(self, shape, placements):
         """Zero array with rectangles written in: (row_slice, columns, vec)."""
         raise NotImplementedError
+
+
+def _weigh(a: np.ndarray, weights, lead: int) -> np.ndarray:
+    """``a`` with its first B rows (axis ``lead``) replaced by the K sums
+    ``weights`` @ rows for a (K, B) matrix of words, exact mod 2^64; the
+    rows past B stay as they are, and so does ``a`` for ``weights`` None."""
+    if weights is None:
+        return a
+    nb, tail = weights.shape[1], a.shape[lead + 1:]
+    flat = a.reshape(a.shape[:lead + 1] + (math.prod(tail),))
+    out = np.concatenate([np.matmul(weights, flat[..., :nb, :]), flat[..., nb:, :]], axis=lead)
+    return out.reshape(out.shape[:lead + 1] + tail)
 
 
 def _pub_bits(word: np.ndarray, positions) -> np.ndarray:
@@ -740,7 +754,7 @@ class Mpc3Engine(_EngineBase):
             base.data[:, :, rslice, cols] = vec.data
         return base
 
-    def mask_bits(self, shape, nbits: int = 64, dabits=()) -> Mask:
+    def mask_bits(self, shape, nbits: int = 64, dabits=(), weights=None) -> Mask:
         """``nbits`` uniform shared mask bits per element of ``shape`` and
         daBits at the bit positions ``dabits`` (mask purpose streams).
 
@@ -749,9 +763,10 @@ class Mpc3Engine(_EngineBase):
         ``nbits`` bits are the element's mask bits from that stream, the
         second word's bits at ``dabits`` its daBits; with daBits, the raw
         words are also kept as the packed XOR shares. One ``_xor3`` call
-        makes all of these bits arithmetic. Cost: ``nbits`` ``mask_bit`` and len(dabits) ``dabit``
-        per element, and two resharings of the (nbits + len(dabits),
-        *shape) bits (2 rounds, 6 messages).
+        makes all of these bits arithmetic, or, given ``weights`` (a
+        (K, nbits) matrix of public words), the daBits and K weighted sums
+        of the mask bits (``Mask.sums``). Cost: ``nbits`` ``mask_bit`` and
+        len(dabits) ``dabit`` per element, and the conversion's 2 rounds.
         """
         check_width(nbits)
         shape = _as_shape(shape)
@@ -766,41 +781,42 @@ class Mpc3Engine(_EngineBase):
         pos = pos.reshape((nbits + k,) + (1,) * len(shape))
         word_of_row = np.repeat([0, 1], [nbits, k]) if k else 0
         raw = [g.bit_generator.random_raw((1 + (k > 0),) + shape) for g in self._mask_streams]
-        bits = self._xor3(*((w[word_of_row] >> pos) & np.uint64(1) for w in raw)).data
+        out = self._xor3(*((w[word_of_row] >> pos) & np.uint64(1) for w in raw), weights).data
+        rows = nbits if weights is None else len(weights)
+        kept = {"bits" if weights is None else "sums": ShareVec(out[:, :, :rows])}
         if not k:
-            return Mask(ShareVec(bits))
+            return Mask(**kept)
         # stream p is known to pair {p, p+1}: their common component p+1
         words = self._from_components(raw[2], raw[0], raw[1]).data
-        return Mask(ShareVec(bits[:, :, :nbits]), dabits, ShareVec(bits[:, :, nbits:]),
-                    ShareVec(words[:, :, 0]), ShareVec(words[:, :, 1]))
+        return Mask(**kept, dabit_pos=dabits, dabits=ShareVec(out[:, :, rows:]),
+                    word=ShareVec(words[:, :, 0]), dabit_word=ShareVec(words[:, :, 1]))
 
-    def _xor3(self, b0, b1, b2) -> ShareVec:
-        """Shared b0 XOR b1 XOR b2 as two shared XORs x + y - 2xy.
+    def _xor3(self, b0, b1, b2, weights=None) -> ShareVec:
+        """Shared b0 ^ b1 ^ b2 per bit, or the sums ``_weigh`` makes of them.
 
-        Bit b_p is known to pair {p, p+1} and enters as component p+1, their
-        common one, so most components are public zeros. Each product's
-        local terms x_i y_i + x_i y_{i+1} + x_{i+1} y_i are computed from
-        the nonzero components only; they equal the terms of a general
-        multiplication and are reshared the same way.
+        Bit b_p is known to pair {p, p+1}, so index 1 knows t = b0 ^ b1 and
+        sends index 0 the word t + s, with s from zero stream 1, which only
+        indexes 1 and 2 hold: index 0 sees a uniform word. The terms
+        b2 - 2(t + s) b2 at index 0, t at index 1 and 2 s b2 at index 2 sum
+        to t ^ b2. Each party weights its terms, and one resharing (a fresh
+        zero share, then pass left) makes them replicated shares, so every
+        term a party receives is masked by that zero share. Cost: 2 rounds;
+        one word per bit from index 1 to 0, then 3 messages of one word per
+        output row.
         """
-        # (b0 as c1) * (b1 as c2): only party 2's term x_1 y_2 is nonzero
-        w = np.zeros((3,) + b0.shape, dtype=U64)
-        np.multiply(b0, b1, out=w[1, ...])
+        w = np.empty((3,) + b0.shape, dtype=U64)
+        np.bitwise_xor(b0, b1, out=w[1])
+        s = self._zero_streams[1].bit_generator.random_raw(b0.shape)
+        self.transcript.next_round()
+        u = self._send(1, 0, np.add(w[1], s, out=w[0]))
+        np.subtract(b2, (u + u) * b2, out=w[0])
+        np.multiply(s + s, b2, out=w[2])
+        w = _weigh(w, weights, 1)
         self._reshare(w)
-        t = -(w + w)
-        t[1, ...] += b0
-        t[2, ...] += b1
-        # t * (b2 as c0): party 1's term (t_0 + t_1) y_0, party 3's t_2 y_0
-        w = np.zeros_like(t)
-        np.multiply(t[0, ...] + t[1, ...], b2, out=w[0, ...])
-        np.multiply(t[2, ...], b2, out=w[2, ...])
-        self._reshare(w)
-        t -= w
-        t -= w
-        t[0, ...] += b2
-        return self._from_components(*t)
+        return ShareVec(_pair(w))
 
-    def masked_open(self, x: ShareVec, nbits: int = 64, dabits=()) -> tuple[np.ndarray, Mask]:
+    def masked_open(self, x: ShareVec, nbits: int = 64, dabits=(),
+                    weights=None) -> tuple[np.ndarray, Mask]:
         """Open x + r for a fresh mask r of width ``nbits``; returns
         (public, mask), with daBits at the bit positions ``dabits``.
 
@@ -810,13 +826,17 @@ class Mpc3Engine(_EngineBase):
         messages (the edaBits construction). The opened word is uniform, so
         it reveals nothing, and its low ``nbits`` bits equal
         (x + sum 2^j bits[j]) mod 2^nbits; the caller extracts what it
-        needs from those and the shared bits. Cost: ``nbits`` mask bits
-        and len(dabits) daBits per element, their two resharings and one
-        opening (3 rounds); the ``masked_open`` counter adds the elements.
+        needs from those and the mask: every bit, or, given ``weights``
+        (public weight rows over the bits, possibly none), ``sums`` with
+        r's low part and the sum by each row. Cost: ``nbits`` mask bits
+        and len(dabits) daBits per element, their conversion (``_xor3``)
+        and one opening (3 rounds); the ``masked_open`` counter adds the
+        elements.
         """
         self.count("masked_open", x.size)
-        mask = self.mask_bits(x.shape, nbits, dabits)
-        r = self.bit_sum(mask.bits, _BIT_WEIGHTS[:nbits])
+        rows = None if weights is None else np.vstack([_BIT_WEIGHTS[:nbits], *weights])
+        mask = self.mask_bits(x.shape, nbits, dabits, rows)
+        r = self.bit_sum(mask.bits, _BIT_WEIGHTS[:nbits]) if rows is None else self.index(mask.sums, 0)
         if nbits < 64:
             n = int(np.prod(x.shape, dtype=np.int64))
             high = [g.bit_generator.random_raw(n).reshape(x.shape) << np.uint64(nbits)
@@ -932,7 +952,7 @@ class Mpc3Engine(_EngineBase):
         arithmetic: 3 + ceil(log2 max(positions)) rounds (at least 4).
         """
         positions = tuple(int(p) for p in positions)
-        m, mask = self.masked_open(x, dabits=positions)
+        m, mask = self.masked_open(x, dabits=positions, weights=())
         y, z = self._value_word(m, mask, max(positions))
         return self._open_bits(y, z, mask, positions)
 
@@ -947,7 +967,7 @@ class Mpc3Engine(_EngineBase):
         3 + ceil(log2 (nbits - 1)) + ceil(log2 nbits) for nbits >= 2.
         """
         positions = tuple(range(nbits))
-        m, mask = self.masked_open(x, dabits=positions)
+        m, mask = self.masked_open(x, dabits=positions, weights=())
         y, z = self._value_word(m, mask, nbits - 1)
         if z is not None:
             self._pass_left(z)
@@ -1016,16 +1036,16 @@ class Mpc3Engine(_EngineBase):
         identity X >> g = (C >> g) - (R >> g) - carry_g + 2^(64-g) * ov
         holds for C = X + R (mod 2^64), carry_g = [C mod 2^g < R mod 2^g],
         ov = [C < R]; both indicator bits come from one borrow network
-        (taps g and 64, with their daBits): 3 + 6 rounds.
+        (taps g and 64, with their daBits): 3 + 6 rounds; R >> g is a sum.
         """
         if not 0 < g < 64:
             raise ValueError("shift amount out of range")
         self.count("trunc", x.size)
         biased = self.add_const(x, np.uint64(HALF))
-        c_pub, mask = self.masked_open(biased, dabits=(g - 1, 63))
+        c_pub, mask = self.masked_open(biased, dabits=(g - 1, 63), weights=(_high_weights(g),))
         borrows = self.borrow_taps(c_pub, mask, (g, 64)).data
         carry, ov = borrows[:, :, 0], borrows[:, :, 1]
-        r_high = self.bit_sum(mask.bits, _high_weights(g)).data
+        r_high = mask.sums.data[:, :, 1]
         unbias = np.uint64((1 << (63 - g)) & MASK64)
         pub = np.subtract(c_pub >> np.uint64(g), unbias)
         y = ov * (np.uint64(1) << np.uint64(64 - g)) - r_high - carry
@@ -1069,8 +1089,8 @@ class PlainEngine(_EngineBase):
     def _mul_raw(self, x: PlainVec, y: PlainVec) -> PlainVec:
         return PlainVec(np.multiply(x.raw, y.raw))
 
-    def _xor3(self, b0, b1, b2) -> PlainVec:
-        return PlainVec(b0 ^ b1 ^ b2)
+    def _xor3(self, b0, b1, b2, weights=None) -> PlainVec:
+        return PlainVec(_weigh(b0 ^ b1 ^ b2, weights, 0))
 
     def trunc(self, x: PlainVec, g: int = F) -> PlainVec:
         self.count("trunc", x.size)

@@ -459,15 +459,16 @@ def test_empty_query_on_column_split_answers_row_count(backend):
 
 def _pi_comp_bytes(schema, qstar, n):
     """Closed form of the aggregation bytes over Q*: per queried attribute
-    of width b, two resharings of b mask bits (48 b), one opening (48) and
-    floor(b/2) one-hot products (24 each) per row, then ceil(b/2) - 1
+    of width b, b masked words from party 2 to party 1 and one resharing
+    of the b mask bits (32 b), one opening (48) and floor(b/2) one-hot
+    products (24 each) per row, then ceil(b/2) - 1
     chunk ANDs per compared cell; k - 1 products join a cell's k tests."""
     total = 0
     for q in qstar:
         cells = q.size(schema)
         for a in q.attrs:
             b = (schema.attrs[a].cardinality - 1).bit_length()
-            total += (48 * b + 48 + 24 * (b // 2)) * n
+            total += (32 * b + 48 + 24 * (b // 2)) * n
             total += 24 * ((b + 1) // 2 - 1) * cells * n
         total += 24 * (q.k - 1) * cells * n
     return total
@@ -493,6 +494,6 @@ def test_pi_comp_bytes_closed_form_on_vertical_plan(case):
     got = eng.transcript.summary()["scopes"]["pi_comp"]["bytes"]
     assert got == _pi_comp_bytes(ds.schema, qstar, ds.n)
     if case == "vertical-join":
-        assert (len(qstar), got) == (6, 7_104_000)
+        assert (len(qstar), got) == (6, 6_400_000)
     for q in qstar:
         assert eng.reconstruct(ans[q]).tolist() == M.exact_marginal(ds.rows, q, ds.schema).tolist()

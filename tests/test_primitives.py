@@ -57,15 +57,16 @@ def test_sec_eq_bounded_width_exhaustive(backend):
 
 def _eq_records(n: int, nbits: int, targets: int = 1) -> list[tuple[int, int, int, int]]:
     """(round, sender, receiver, bytes) of one sec_eq of n elements against
-    ``targets`` public targets each, rounds counted from 1: two resharings
-    of the nbits mask bits and one opening to all parties, per element,
-    then one resharing of the floor(nbits/2) products that build the
+    ``targets`` public targets each, rounds counted from 1: one masked
+    word per mask bit from party 2 to party 1, one resharing of the nbits
+    mask bits and one opening to all parties, per element, then one
+    resharing of the floor(nbits/2) products that build the
     mask's 2-bit one-hots, per element, whatever the targets, then one
     resharing per level of the AND over the ceil(nbits/2) chunk
     indicators, per output element."""
     reshare = [(2, 1), (3, 2), (1, 3)]
     opening = [(2, 1), (3, 1), (3, 2), (1, 2), (1, 3), (2, 3)]
-    recs = [(r, s, t, 8 * nbits * n) for r in (1, 2) for s, t in reshare]
+    recs = [(1, 2, 1, 8 * nbits * n)] + [(2, s, t, 8 * nbits * n) for s, t in reshare]
     recs += [(3, s, t, 8 * n) for s, t in opening]
     rnd, length = 3, (nbits + 1) // 2
     if nbits > 1:
@@ -513,13 +514,14 @@ def test_log_depth_networks_records_data_independent():
 
 def _sign_network_records(n: int) -> list[tuple[int, int, int, int]]:
     """(round, sender, receiver, bytes) of a lone sign network on n
-    elements, rounds counted from 1: two resharings of the 64 mask bits
-    and one daBit, one opening, five two-word AND levels of the borrow
-    scan into bit 63, then the sixth level's AND fused with the opening of
-    bit 63 (one word to each other party)."""
+    elements, rounds counted from 1: one masked word for each of the 64
+    mask bits and the daBit from party 2 to party 1, one resharing of two
+    words (the mask's sum and the daBit), one opening, five two-word AND
+    levels of the borrow scan into bit 63, then the sixth level's AND fused
+    with the opening of bit 63 (one word to each other party)."""
     reshare = [(2, 1), (3, 2), (1, 3)]
     opening = [(2, 1), (3, 1), (3, 2), (1, 2), (1, 3), (2, 3)]
-    recs = [(r, s, t, 8 * 65 * n) for r in (1, 2) for s, t in reshare]
+    recs = [(1, 2, 1, 8 * 65 * n)] + [(2, s, t, 16 * n) for s, t in reshare]
     recs += [(3, s, t, 8 * n) for s, t in opening]
     recs += [(r, s, t, 16 * n) for r in range(4, 9) for s, t in reshare]
     return recs + [(9, s, t, 8 * n) for s, t in opening]

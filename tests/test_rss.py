@@ -683,6 +683,115 @@ def test_bit_sum_matches_reference(backend, kind, shape):
     assert np.array_equal(eng.open(out), _bit_sum_reference(bits, weights))
 
 
+# -- stream-bit conversion (_xor3) ----------------------------------------------
+
+
+def _triple_bits(rows: int, cols: int = 16):
+    """Stream bits (b0, b1, b2), each (rows, cols): row j, column c holds
+    the bits of the triple (c + j) mod 8, so every row meets all eight."""
+    code = (np.arange(cols)[None, :] + np.arange(rows)[:, None]) % 8
+    return tuple(((code >> p) & 1).astype(np.uint64) for p in range(3))
+
+
+# one row of powers of two, then r >> g for every shift g
+_CONVERSION_WEIGHTS = np.vstack([rss._BIT_WEIGHTS] + [rss._high_weights(g) for g in range(1, 64)])
+
+
+@pytest.mark.parametrize("backend", ["mpc", "cdp"])
+@pytest.mark.parametrize("dabit_rows", [0, 3])
+def test_xor3_every_bit_triple_per_bit_and_weighted(backend, dabit_rows):
+    # per bit, and through 64 weight rows with per-bit daBit rows after
+    # them; the reference sums the bits in Python integers
+    b = _triple_bits(64 + dabit_rows)
+    xor = b[0] ^ b[1] ^ b[2]
+    eng = make_engine(backend, seed=74)
+    assert np.array_equal(eng.reconstruct(eng._xor3(*b)), xor)
+    got = eng.reconstruct(eng._xor3(*b, _CONVERSION_WEIGHTS))
+    assert got.shape == (64 + dabit_rows, 16)
+    for k, row in enumerate(_CONVERSION_WEIGHTS):
+        assert np.array_equal(got[k], _bit_sum_reference(xor[:64], row)), k
+    assert np.array_equal(got[64:], xor[64:])
+
+
+def test_xor3_masked_word_uniform_for_fixed_bits():
+    # index 0 receives t + s for t = b0 ^ b1; s comes from a stream it
+    # does not hold, so the word is uniform whatever the bits
+    n = 40_000
+    for b0, b1, b2 in ((0, 0, 0), (1, 0, 1), (1, 1, 1)):
+        eng = Mpc3Engine(seed=75)
+        sent, send = [], eng._send
+        eng._send = lambda s, r, arr: sent.append((s, r, arr.copy())) or send(s, r, arr)
+        eng._xor3(*(np.full(n, v, dtype=np.uint64) for v in (b0, b1, b2)))
+        sender, receiver, word = sent[0]  # round 1's only message
+        assert (sender, receiver, word.shape) == (1, 0, (n,))
+        # s is zero stream 1's next draw: pair {1, 2}, not index 0's pairs
+        s = rss._philox(75, rss._PURPOSE_ZERO_SHARE, 1).bit_generator.random_raw(n)
+        assert np.array_equal(word, np.uint64(b0 ^ b1) + s)
+        for byte in (word & np.uint64(0xFF), word >> np.uint64(56)):
+            counts = np.bincount(byte.astype(np.int64), minlength=256)
+            assert stats.chisquare(counts).pvalue > 1e-3, (b0, b1, b2)
+
+
+def test_xor3_records_closed_form_and_data_independent():
+    # round 1: one word per bit from party 2 to party 1; round 2: one
+    # resharing of one word per output row (a weighted sum or a daBit)
+    def records(bits, weights):
+        eng = Mpc3Engine(seed=76, record_messages=True)
+        eng._xor3(*bits, weights)
+        return eng.transcript.records, eng.transcript.rounds
+
+    n, rows = 16, 64 + 3
+    for weights, out_rows in ((None, rows), (_CONVERSION_WEIGHTS[:1], 1 + 3),
+                              (_CONVERSION_WEIGHTS[[0, 16]], 2 + 3)):
+        want = [(1, "top", 2, 1, 8 * rows * n)]
+        want += [(2, "top", s, r, 8 * out_rows * n) for s, r in ((2, 1), (3, 2), (1, 3))]
+        rng = np.random.default_rng(76)
+        runs = [records(_triple_bits(rows, n), weights)]
+        runs += [records(tuple(rng.integers(0, 2, (rows, n), dtype=np.uint64) for _ in range(3)),
+                         weights) for _ in range(2)]
+        assert all(run == (want, 2) for run in runs), weights
+
+
+def _stream_mask(seed: int, shape, nbits: int, dabits: bool) -> np.ndarray:
+    """The mask r that ``masked_open`` draws, read off the mask streams:
+    its low bits are b0 ^ b1 ^ b2 of the three streams' first words, and
+    the high part sums one more word per stream, shifted up."""
+    streams = [rss._philox(seed, rss._PURPOSE_MASK, p) for p in range(3)]
+    words = [g.bit_generator.random_raw((1 + dabits,) + shape)[0] for g in streams]
+    r = (words[0] ^ words[1] ^ words[2]) & np.uint64(rss.MASK64 >> (64 - nbits))
+    if nbits < 64:
+        n = int(np.prod(shape, dtype=np.int64))
+        for g in streams:
+            r += g.bit_generator.random_raw(n).reshape(shape) << np.uint64(nbits)
+    return r
+
+
+@pytest.mark.parametrize("nbits, dabits, weights", [
+    (64, (), None), (3, (), None), (64, (), ()), (64, (62,), ()),
+    (64, (15, 63), (rss._high_weights(16),)), (5, (), (rss._high_weights(2)[:5],)),
+], ids=["bits-64", "bits-3", "sum", "sum-dabit", "trunc-16", "width-5-shift-2"])
+def test_masked_open_word_matches_stream_bits(nbits, dabits, weights):
+    # the opened word is x + r for the bits of the same mask streams that
+    # every conversion path draws, so the words opened do not move
+    shape = (3, 4)
+    x = np.random.default_rng(77).integers(0, 1 << 64, size=shape, dtype=np.uint64)
+    eng = Mpc3Engine(seed=77)
+    m, mask = eng.masked_open(eng.share(x), nbits, dabits, weights)
+    r = _stream_mask(77, shape, nbits, bool(dabits))
+    assert np.array_equal(m, x + r)
+    low = r & np.uint64(rss.MASK64 >> (64 - nbits))
+    if weights is None:
+        assert mask.sums is None
+        assert np.array_equal(eng.reconstruct(mask.bits), rss._pub_bits(low, range(nbits)))
+    else:
+        assert mask.bits is None
+        sums = eng.reconstruct(mask.sums)
+        assert sums.shape == (1 + len(weights),) + shape
+        assert np.array_equal(sums[0], low)
+        for row, w in zip(sums[1:], weights):
+            assert np.array_equal(row, _bit_sum_reference(rss._pub_bits(low, range(nbits)), w))
+
+
 # -- heap retention -------------------------------------------------------------
 
 
