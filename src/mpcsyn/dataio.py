@@ -6,15 +6,16 @@ row for data, and a JSON document {"attrs": [{name, cardinality, bins?,
 labels?}]} for the domain. Continuous attributes declare bin edges and
 are discretized on load; labeled attributes map strings to indices.
 A JSON input must have the objects, lists and integers its format names
-(an integer is a JSON integer, never a float or a bool); anything else
-raises ``IngestionError`` or ``ValueError`` naming the file, and is never
-coerced.
+(an integer is a JSON integer, never a float or a bool, and a workload
+weight is finite); anything else raises ``IngestionError`` or
+``ValueError`` naming the file or the attribute, and is never coerced.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -62,7 +63,8 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number a float holds: any float, or an integer in its range."""
+    return isinstance(v, float) or _is_int(v) and abs(v) <= sys.float_info.max
 
 
 def load_domain(path):
@@ -262,8 +264,9 @@ def load_workload(path, schema: Schema) -> Workload:
     queries, weights = doc.get("queries", []), doc.get("weights", [])
     if not (isinstance(queries, list) and all(isinstance(q, list) for q in queries)):
         raise IngestionError(f"workload file {path}: queries must be a list of lists")
-    if not (isinstance(weights, list) and all(map(_is_number, weights))):
-        raise IngestionError(f"workload file {path}: weights must be a list of numbers")
+    if not (isinstance(weights, list)
+            and all(_is_number(w) and abs(w) <= sys.float_info.max for w in weights)):
+        raise IngestionError(f"workload file {path}: weights must be a list of finite numbers")
     by_name = {a.name: j for j, a in enumerate(schema.attrs)}
 
     def resolve(a):

@@ -65,8 +65,8 @@ class AttrDomain:
             raise SchemaError(f"attribute {self.name!r}: cardinality must be >= 2")
         if self.bin_edges is not None:
             edges = tuple(float(e) for e in self.bin_edges)
-            if any(a >= b for a, b in zip(edges, edges[1:])):
-                raise SchemaError(f"attribute {self.name!r}: bin edges must increase")
+            if any(a >= b for a, b in zip(edges, edges[1:])) or np.isnan(edges).any():
+                raise SchemaError(f"attribute {self.name!r}: bin edges must increase, none NaN")
             object.__setattr__(self, "bin_edges", edges)
 
 
@@ -131,6 +131,8 @@ class Query:
         attrs = tuple(int(a) for a in self.attrs)
         if len(set(attrs)) != len(attrs):
             raise ValueError("query attributes must be distinct")
+        if min(attrs, default=0) < 0:
+            raise ValueError(f"query attribute index {min(attrs)} is negative")
         if attrs != tuple(sorted(attrs)):
             raise ValueError("query attributes must be sorted")
         object.__setattr__(self, "attrs", attrs)
@@ -160,8 +162,8 @@ class Workload:
         weights = tuple(float(w) for w in self.weights) or (1.0,) * len(queries)
         if len(weights) != len(queries):
             raise ValueError("one weight per query required")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
+        if not all(0 <= w < np.inf for w in weights):
+            raise ValueError("weights must be finite and nonnegative")
         object.__setattr__(self, "queries", queries)
         object.__setattr__(self, "weights", weights)
 

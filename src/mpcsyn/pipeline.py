@@ -37,6 +37,7 @@ from .marginals import (
     compute_workload_answers,
 )
 from .mechanisms import (
+    NOISE_KINDS,
     NOISE_TAIL,
     NoiseSpec,
     NoisyMeasurement,
@@ -57,6 +58,13 @@ _MIN_RUN = _UPDATE_BUFSIZE
 _GAUSSIAN_KINDS = ("gaussian-irwin-hall", "gaussian-box-muller")
 # selection's exponent scale c * 2^k stays below this (_check_exponent_scale)
 _EXPONENT_SCALE_LIMIT = 2.0**62
+
+
+def _is_gaussian(noise_kind: str) -> bool:
+    """Whether a noise kind is Gaussian; ``ValueError`` for an unknown kind."""
+    if noise_kind not in NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {noise_kind!r}")
+    return noise_kind in _GAUSSIAN_KINDS
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,7 @@ class PrivacyBudget:
         """Noise scale of one measurement; raises ``ValueError`` for a
         Gaussian kind at eps_measure >= 1, outside its bound's validity."""
         eps = float(self.epsilon_measure)
-        if noise_kind in _GAUSSIAN_KINDS:
+        if _is_gaussian(noise_kind):
             if self.epsilon_measure >= 1:
                 raise ValueError(
                     f"{noise_kind} noise needs epsilon_measure < 1, got "
@@ -142,7 +150,7 @@ class PrivacyBudget:
             "rounds": self.rounds,
             "per_round": spent,
             "delta_spent": str(self.rounds * self.delta
-                               if noise_kind in _GAUSSIAN_KINDS else 0),
+                               if _is_gaussian(noise_kind) else 0),
         }
 
 
@@ -262,7 +270,7 @@ class SelectScoreParams:
 def expected_noise_l1(noise_kind: str, scale: float, cells: int) -> float:
     """Expected L1 mass the measurement noise adds to a marginal."""
     per_cell = scale * math.sqrt(2.0 / math.pi) \
-        if noise_kind in _GAUSSIAN_KINDS else scale
+        if _is_gaussian(noise_kind) else scale
     return per_cell * cells
 
 
@@ -583,7 +591,8 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
     on plaintext words with the same seeded randomness streams.
 
     Raises ``ValueError`` before any protocol work when the dataset has
-    no rows, when a Gaussian noise kind meets eps_measure >= 1
+    no rows, when a query names an attribute outside the schema, when a
+    Gaussian noise kind meets eps_measure >= 1
     (``PrivacyBudget.measure_scale``), when the noise scale times the
     sampler's tail bound (``NOISE_TAIL``) reaches scale_pub's 2^15 range,
     where the scaled noise would wrap, and when selection's exponent scale
@@ -596,6 +605,8 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
         raise ValueError("dataset has no rows")
     if len(workload.queries) == 0:
         raise ValueError("workload must contain at least one query")
+    if max(max(q.attrs, default=-1) for q in workload.queries) >= schema.dims:
+        raise ValueError(f"a workload attribute index is outside [0, {schema.dims})")
     if algo not in ("AIM", "MWEM"):
         raise ValueError(f"unknown selection algorithm {algo!r}")
     if schema.domain_size > MAX_JOINT_CELLS:

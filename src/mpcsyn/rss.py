@@ -5,9 +5,9 @@ A value x is split as x = c0 + c1 + c2 (mod 2^64); party i holds the pair
 view is uniform. The engine simulates the three parties in one process:
 a ShareVec stores all three parties' pairs in one (3, 2, *shape) uint64
 array, so each party's copy of a component is its own slot, and every
-interactive step moves data through an explicit logged message, so
-transcripts reflect the real communication pattern (3 messages per
-multiplication, 0 for linear work).
+interactive step moves data through an explicit message, tallied by
+scope and channel, so transcripts reflect the real communication pattern
+(3 messages per multiplication, 0 for linear work).
 
 Everything is vectorized: local operations are single numpy calls on the
 whole share array, protocols batch elementwise, and message sizes are 8
@@ -52,6 +52,7 @@ import ctypes
 import functools
 import math
 import os
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -153,58 +154,47 @@ def _philox(master_seed: int, purpose: int, idx: int) -> np.random.Generator:
 class Transcript:
     """Message and primitive-invocation accounting for one engine run.
 
-    Aggregates are always kept (message/byte totals per directed channel
-    and per protocol scope, monotone counters). Full ordered message
-    records are stored only when recording is enabled, for the
-    shape-invariance tests.
+    Monotone counters, the round count and one tally: messages and bytes
+    per (scope, sender, receiver), updated once per message. The totals
+    and the per-channel and per-scope sums of ``summary`` derive from it.
     """
 
-    def __init__(self, record_messages: bool = False):
+    def __init__(self):
         self.counters: dict[str, int] = {}
-        self.msg_count = 0
-        self.byte_count = 0
         self.rounds = 0
-        # keyed by (sender, receiver); summary() names them "s->r"
-        self.channels: dict[tuple[int, int], dict[str, int]] = {}
-        self.scopes: dict[str, dict[str, int]] = {}
-        self.records: list[tuple[int, str, int, int, int]] | None = (
-            [] if record_messages else None
-        )
+        # (scope, sender, receiver) -> [messages, bytes]
+        self.tally: defaultdict[tuple[str, int, int], list[int]] = defaultdict(lambda: [0, 0])
 
     def count(self, name: str, k: int) -> None:
         self.counters[name] = self.counters.get(name, 0) + int(k)
 
     def log_message(self, scope: str, sender: int, receiver: int, nbytes: int) -> None:
-        self.msg_count += 1
-        self.byte_count += nbytes
-        # get before insert: setdefault would build a default dict per call
-        key = (sender, receiver)
-        entry = self.channels.get(key)
-        if entry is None:
-            entry = self.channels[key] = {"messages": 0, "bytes": 0}
-        entry["messages"] += 1
-        entry["bytes"] += nbytes
-        entry = self.scopes.get(scope)
-        if entry is None:
-            entry = self.scopes[scope] = {"messages": 0, "bytes": 0}
-        entry["messages"] += 1
-        entry["bytes"] += nbytes
-        if self.records is not None:
-            self.records.append((self.rounds, scope, sender, receiver, nbytes))
+        entry = self.tally[(scope, sender, receiver)]
+        entry[0] += 1
+        entry[1] += nbytes
+
+    @property
+    def msg_count(self) -> int:
+        return sum(m for m, _ in self.tally.values())
+
+    @property
+    def byte_count(self) -> int:
+        return sum(b for _, b in self.tally.values())
 
     def next_round(self) -> None:
         self.rounds += 1
 
     def summary(self) -> dict:
-        return {
-            "messages": self.msg_count,
-            "bytes": self.byte_count,
-            "rounds": self.rounds,
-            "channels": dict(sorted((f"{s}->{r}", dict(v))
-                                    for (s, r), v in self.channels.items())),
-            "counters": dict(sorted(self.counters.items())),
-            "scopes": {k: dict(v) for k, v in sorted(self.scopes.items())},
-        }
+        channels, scopes = {}, {}
+        for (scope, s, r), (m, b) in self.tally.items():
+            for group, key in ((channels, f"{s}->{r}"), (scopes, scope)):
+                entry = group.setdefault(key, {"messages": 0, "bytes": 0})
+                entry["messages"] += m
+                entry["bytes"] += b
+        return {"messages": self.msg_count, "bytes": self.byte_count, "rounds": self.rounds,
+                "channels": dict(sorted(channels.items())),
+                "counters": dict(sorted(self.counters.items())),
+                "scopes": dict(sorted(scopes.items()))}
 
 
 @dataclass(frozen=True)
@@ -281,9 +271,9 @@ class _EngineBase:
     helpers) lives here once so both backends cannot drift apart.
     """
 
-    def __init__(self, seed: int, record_messages: bool = False):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.transcript = Transcript(record_messages)
+        self.transcript = Transcript()
         self._scope_stack: list[str] = ["top"]
         self._noise_streams = [_philox(self.seed, _PURPOSE_NOISE, p) for p in range(3)]
         self._injected_uniform: list[int] = []
@@ -600,8 +590,8 @@ class Mpc3Engine(_EngineBase):
 
     _lead = 2
 
-    def __init__(self, seed: int, record_messages: bool = False):
-        super().__init__(seed, record_messages)
+    def __init__(self, seed: int):
+        super().__init__(seed)
         self._zero_streams = [_philox(self.seed, _PURPOSE_ZERO_SHARE, p) for p in range(3)]
         self._mask_streams = [_philox(self.seed, _PURPOSE_MASK, p) for p in range(3)]
         self._input_streams = [_philox(self.seed, _PURPOSE_INPUT, p) for p in range(3)]
@@ -610,9 +600,7 @@ class Mpc3Engine(_EngineBase):
 
     def _send(self, sender: int, receiver: int, arr: np.ndarray) -> np.ndarray:
         """Move an array from one party to another, logging the message."""
-        self.transcript.log_message(
-            self.scope_name, sender + 1, receiver + 1, 8 * int(arr.size)
-        )
+        self.transcript.log_message(self.scope_name, sender + 1, receiver + 1, 8 * int(arr.size))
         return arr
 
     def _from_components(self, c0, c1, c2) -> ShareVec:
@@ -1126,9 +1114,9 @@ class PlainEngine(_EngineBase):
         return PlainVec(base)
 
 
-def make_engine(backend: str, seed: int, record_messages: bool = False) -> _EngineBase:
+def make_engine(backend: str, seed: int) -> _EngineBase:
     if backend == "mpc":
-        return Mpc3Engine(seed, record_messages)
+        return Mpc3Engine(seed)
     if backend == "cdp":
-        return PlainEngine(seed, record_messages)
+        return PlainEngine(seed)
     raise ValueError(f"unknown backend {backend!r}")

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
+from message_log import message_log
 from mpcsyn import dataio, fixed
 from mpcsyn.marginals import (
     AttrDomain,
@@ -320,12 +321,12 @@ def test_criterion_7_privacy_mechanics():
              ([1.0, 1.0, 1.0, 1.0], 0.5))
     shapes, indices = [], []
     for weights, r in cases:
-        eng = make_engine("mpc", seed=78, record_messages=True)
+        eng = make_engine("mpc", seed=78)
+        msgs = message_log(eng)
         w = eng.share(fixed.encode(np.asarray(weights)))
         eng.inject_uniform([r])
         indices.append(int(eng.open(pi_rc(eng, w))))
-        shapes.append([rec for rec in eng.transcript.records
-                       if rec[1] == "pi_rc"])
+        shapes.append([rec for rec in msgs if rec[1] == "pi_rc"])
     assert len(set(indices)) >= 2
     assert shapes[0] == shapes[1] == shapes[2]
     assert len(shapes[0]) > 0

@@ -285,3 +285,27 @@ def test_malformed_input_file_exits_one(tmp_path, capsys, kind, doc):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,text,named", [
+    ("workload", '{"queries": [[0], [1]], "weights": [1, Infinity]}', None),
+    ("workload", '{"queries": [[0], [1]], "weights": [1, NaN]}', None),
+    ("domain", json.dumps(_with_first_attr(bins=[0, 1, 2, 3]))
+     .replace("[0, 1, 2, 3]", "[0, NaN, 2, 3]"), "'a0'"),
+], ids=["inf-weight", "nan-weight", "nan-bin-edge"])
+def test_non_finite_input_file_exits_one(tmp_path, capsys, kind, text, named):
+    # Infinity weights once exited 2 with an OverflowError, NaN weights
+    # exited 1 only after aggregation, and a NaN bin edge binned silently
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    out = tmp_path / "s.csv"
+    argv = ["gen", "--data", TOY_CSV, "--domain", TOY_DOMAIN, "--out", str(out),
+            "--algo", "aim", "--noise", "lap", "--backend", "cdp"]
+    if kind == "domain":
+        argv[4] = str(path)
+    else:
+        argv += ["--workload", str(path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and (named or str(path)) in err
+    assert not out.exists()

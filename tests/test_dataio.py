@@ -64,6 +64,7 @@ def test_load_domain_errors(tmp_path):
         {"attrs": [{"cardinality": 2}]},  # unnamed
         {"attrs": [{"name": "a", "cardinality": 3, "bins": [0, 1, 2]}]},
         {"attrs": [{"name": "a", "cardinality": 3, "labels": ["u", "v"]}]},
+        {"attrs": [{"name": "a", "bins": [0, 1, 10**400]}]},  # beyond a float
     ]
     for i, doc in enumerate(bad):
         p = write(tmp_path, f"bad{i}.json", json.dumps(doc))
@@ -197,6 +198,34 @@ def test_load_workload(tmp_path):
     bad = write(tmp_path, "bad.json", json.dumps({"queries": [["height"]]}))
     with pytest.raises(IngestionError):
         load_workload(bad, schema)
+
+
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "1e400", "10**400"])
+def test_load_workload_rejects_non_finite_weights(tmp_path, weight):
+    # JSON NaN and Infinity parse to floats, a 401-digit integer overflows one
+    schema = Schema((AttrDomain("age", 3), AttrDomain("sex", 2)))
+    p = write(tmp_path, "w.json", f'{{"queries": [[0], [1]], "weights": [1, {weight}]}}')
+    with pytest.raises(IngestionError, match="weights must be a list of finite numbers") as err:
+        load_workload(p, schema)
+    assert str(p) in str(err.value)
+
+
+@pytest.mark.parametrize("bins", ["[0, NaN, 10]", "[NaN, 0, 10]", "[0, 10, NaN]"])
+def test_load_domain_rejects_nan_bin_edges(tmp_path, bins):
+    # [0, NaN, 10] once binned 0.5, 3, 7 and 12 as 0, 0, 0 and 1
+    p = write(tmp_path, "d.json", '{"attrs": [{"name": "x", "bins": %s}]}' % bins)
+    with pytest.raises(ValueError, match="attribute 'x': bin edges must increase"):
+        load_domain(p)
+
+
+def test_load_domain_keeps_infinite_bin_edges(tmp_path):
+    p = write(tmp_path, "d.json",
+              '{"attrs": [{"name": "x", "bins": [-Infinity, 0, 10, Infinity]}]}')
+    schema, _ = load_domain(p)
+    edges = schema.attrs[0].bin_edges
+    assert edges == (-np.inf, 0.0, 10.0, np.inf)
+    assert discretize([-5.0, 0.5, 3.0, 12.0], edges).tolist() == [0, 1, 1, 2]
 
 
 @pytest.mark.parametrize("index", [2, 9, -1])

@@ -18,6 +18,12 @@ def test_attr_domain_validation():
         M.AttrDomain("x", 3, bin_edges=(1.0, 1.0, 2.0))
     dom = M.AttrDomain("x", 3, bin_edges=(0.0, 0.5, 1.0))
     assert dom.bin_edges == (0.0, 0.5, 1.0)
+    # a NaN edge compares false both ways, so it passed the pairwise check
+    for edges in ((0.0, np.nan, 10.0), (np.nan, 0.0, 10.0), (0.0, 10.0, np.nan)):
+        with pytest.raises(M.SchemaError, match="'x': bin edges must increase"):
+            M.AttrDomain("x", 2, bin_edges=edges)
+    inf = float("inf")
+    assert M.AttrDomain("x", 3, bin_edges=(-inf, 0.0, inf)).bin_edges == (-inf, 0.0, inf)
 
 
 def test_schema_and_dataset_validation():
@@ -37,6 +43,9 @@ def test_query_validation_and_cells():
         M.Query((1, 0))
     with pytest.raises(ValueError):
         M.Query((0, 0))
+    for attrs in ((-1,), (-2, 0)):
+        with pytest.raises(ValueError, match=f"index {attrs[0]} is negative"):
+            M.Query(attrs)
     schema = M.Schema((M.AttrDomain("a", 3), M.AttrDomain("b", 4)))
     q = M.Query((0, 1))
     assert q.size(schema) == 12
@@ -51,6 +60,9 @@ def test_workload_weights():
         M.Workload((q,), (1.0, 2.0))
     with pytest.raises(ValueError):
         M.Workload((q,), (-1.0,))
+    for w in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            M.Workload((q,), (w,))
 
 
 def test_local_compute_pinned_examples():

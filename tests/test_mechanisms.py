@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from message_log import message_log
 from mpcsyn import fixed
 from mpcsyn.marginals import Query
 from mpcsyn.mechanisms import (
@@ -121,12 +122,12 @@ def test_pi_rc_message_pattern_index_independent():
     for w, r in [(np.array([1.0, 0, 0, 0, 0, 0]), 0.9),
                  (np.array([0, 0, 0, 0, 0, 1.0]), 0.9),
                  (np.ones(6), 0.05)]:
-        eng = make_engine("mpc", seed=9, record_messages=True)
+        eng = make_engine("mpc", seed=9)
+        msgs = message_log(eng)
         shared = share_reals(eng, w)
         eng.inject_uniform([r])
         pi_rc(eng, shared)
-        records.append([rec for rec in eng.transcript.records
-                        if rec[1] == "pi_rc"])
+        records.append([rec for rec in msgs if rec[1] == "pi_rc"])
     assert records[0] == records[1] == records[2]
     assert len(records[0]) > 0
 
@@ -314,12 +315,13 @@ def test_pi_measure_rejects_noise_of_another_length(backend):
 
 
 def test_pi_measure_reveals_to_single_party():
-    eng = make_engine("mpc", seed=19, record_messages=True)
+    eng = make_engine("mpc", seed=19)
+    msgs = message_log(eng)
     counts = share_ints(eng, [6, 1, 3])
     spec = NoiseSpec("gaussian-irwin-hall", 1.0)
     pi_measure(eng, counts, draw_noise(eng, spec, 3), Query((0,)), spec, 0)
-    final_round = max(rec[0] for rec in eng.transcript.records)
-    opening = [rec for rec in eng.transcript.records if rec[0] == final_round]
+    final_round = max(rec[0] for rec in msgs)
+    opening = [rec for rec in msgs if rec[0] == final_round]
     assert len(opening) == 2  # both holders of the missing component
     assert {rec[3] for rec in opening} == {1}  # only party 1 receives
 

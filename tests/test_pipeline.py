@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from message_log import message_log
 from mpcsyn import dataio, fixed, mechanisms, pipeline
 from mpcsyn import primitives as prim
 from mpcsyn.marginals import (
@@ -101,6 +102,26 @@ def test_expected_noise_l1_values():
     assert expected_noise_l1("gaussian-box-muller", 3.0, 4) == pytest.approx(
         np.sqrt(2 / np.pi) * 3.0 * 4)
     assert expected_noise_l1("laplace-sign", 3.0, 4) == pytest.approx(12.0)
+
+
+# a misspelt Gaussian kind read as Laplace: scale 20.0 for sigma 129.45,
+# and a delta_spent of "0"
+_TYPO = "gaussian-box-muler"
+
+
+def test_measure_scale_rejects_unknown_noise_kind():
+    with pytest.raises(ValueError, match=f"unknown noise kind '{_TYPO}'"):
+        PrivacyBudget(1, 1e-9, 10).measure_scale(_TYPO)
+
+
+def test_ledger_json_rejects_unknown_noise_kind():
+    with pytest.raises(ValueError, match=f"unknown noise kind '{_TYPO}'"):
+        PrivacyBudget(1, 1e-9, 10).ledger_json(_TYPO)
+
+
+def test_expected_noise_l1_rejects_unknown_noise_kind():
+    with pytest.raises(ValueError, match=f"unknown noise kind '{_TYPO}'"):
+        expected_noise_l1(_TYPO, 3.0, 4)
 
 
 def test_joint_distribution_validation():
@@ -592,15 +613,16 @@ def test_selection_weights_one_pass_matches_per_query(backend, algo, weights):
             if algo == "AIM" else SelectScoreParams("MWEM", 0.05)
         runs = []
         for fn in (pipeline._selection_weights, _per_query_selection_weights):
-            eng = make_engine(backend, seed=40 + inst, record_messages=True)
+            eng = make_engine(backend, seed=40 + inst)
+            msgs = message_log(eng)
             out = fn(eng, share_counts(eng, counts), model, wl, params)
-            runs.append((eng, eng.reconstruct(out)))
-        (one, got), (ref, want) = runs
+            runs.append((eng, msgs, eng.reconstruct(out)))
+        (one, one_msgs, got), (ref, ref_msgs, want) = runs
         assert np.array_equal(got, want), inst
         assert len(np.unique(want)) > 1, inst  # the scores are not all tied
         assert one.transcript.counters == ref.transcript.counters, inst
         if backend == "mpc":
-            assert one.transcript.records == ref.transcript.records, inst
+            assert one_msgs == ref_msgs, inst
 
 
 def test_score_shift_edges():
@@ -1221,6 +1243,24 @@ def test_run_pipeline_empty_dataset_fails_closed(monkeypatch, backend,
     with pytest.raises(ValueError, match="dataset has no rows"):
         run_pipeline(ds, plan, wl, PrivacyBudget(1.0, 1e-9, 2),
                      backend=backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("partition", ["horizontal", "vertical"])
+def test_run_pipeline_attribute_outside_schema_fails_closed(monkeypatch, backend,
+                                                            partition):
+    # index d once shared every holder's cells before selection died in
+    # numpy broadcasting; a negative index read the last attribute
+    ds, _ = _toy_instance(n=200, seed=4)
+    plan = (horizontal_plan(200, 3, 2) if partition == "horizontal"
+            else vertical_plan(200, 3, [[0], [1, 2]]))
+    monkeypatch.setattr(pipeline, "make_engine", _engine_created)
+    with pytest.raises(ValueError, match="negative"):
+        Query((-1,))
+    wl = Workload((Query((0,)), Query((3,))))
+    with pytest.raises(ValueError, match=r"index is outside \[0, 3\)"):
+        run_pipeline(ds, plan, wl, PrivacyBudget(1.0, 1e-9, 2), algo="MWEM",
+                     noise_kind="gaussian-box-muller", backend=backend)
 
 
 def test_generate_step_is_post_processing_only():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from message_log import message_log
 from mpcsyn import fixed
 from mpcsyn import primitives as prim
 from mpcsyn.rss import Mpc3Engine, RangeContractError, make_engine
@@ -87,11 +88,12 @@ def test_sec_eq_records_closed_form_and_data_independent(nbits):
     n = 7
     for data_seed in (0, 1, 2):
         vals = np.random.default_rng(data_seed).integers(0, 1 << min(width, 8), n).astype(np.uint64)
-        eng = Mpc3Engine(seed=110, record_messages=True)
+        eng = Mpc3Engine(seed=110)
+        msgs = message_log(eng)
         x = eng.share(vals)
-        start, skip = eng.transcript.rounds, len(eng.transcript.records)
+        start, skip = eng.transcript.rounds, len(msgs)
         prim.sec_eq(eng, x, np.zeros(n, dtype=np.uint64), **kwargs)
-        got = [(r - start, s, t, b) for r, _, s, t, b in eng.transcript.records[skip:]]
+        got = [(r - start, s, t, b) for r, _, s, t, b in msgs[skip:]]
         assert got == _eq_records(n, width)
         assert eng.transcript.rounds - start == 3 + (width - 1).bit_length()
         assert eng.transcript.counters["mask_bit"] == width * n
@@ -103,12 +105,13 @@ def test_sec_eq_broadcast_records_closed_form(nbits):
     n, targets = 7, (np.arange(5, dtype=np.uint64) % 2).reshape(5, 1)
     for data_seed in (0, 1):
         vals = np.random.default_rng(data_seed).integers(0, 2, (1, n)).astype(np.uint64)
-        eng = Mpc3Engine(seed=113, record_messages=True)
+        eng = Mpc3Engine(seed=113)
+        msgs = message_log(eng)
         x = eng.share(vals)
-        start, skip = eng.transcript.rounds, len(eng.transcript.records)
+        start, skip = eng.transcript.rounds, len(msgs)
         got = eng.reconstruct(prim.sec_eq(eng, x, targets, nbits=nbits))
         assert np.array_equal(got, (vals == targets).astype(np.uint64))
-        recs = [(r - start, s, t, b) for r, _, s, t, b in eng.transcript.records[skip:]]
+        recs = [(r - start, s, t, b) for r, _, s, t, b in msgs[skip:]]
         assert recs == _eq_records(n, nbits, targets=5)
         assert eng.transcript.counters["eq"] == 5 * n
 
@@ -121,13 +124,14 @@ def test_sec_eq_every_in_contract_difference_against_all_targets(backend):
         lim = 1 << nbits
         x = np.arange(lim, dtype=np.uint64).reshape(1, lim)
         targets = x.reshape(lim, 1)
-        eng = make_engine(backend, seed=114, record_messages=True)
+        eng = make_engine(backend, seed=114)
+        msgs = message_log(eng)
         shared = eng.share(x)
-        start, skip = eng.transcript.rounds, len(eng.transcript.records)
+        start, skip = eng.transcript.rounds, len(msgs)
         got = eng.reconstruct(prim.sec_eq(eng, shared, targets, nbits=nbits))
         assert np.array_equal(got, (x == targets).astype(np.uint64)), nbits
         assert eng.transcript.counters["eq"] == lim * lim
-        recs = [(r - start, s, t, b) for r, _, s, t, b in eng.transcript.records[skip:]]
+        recs = [(r - start, s, t, b) for r, _, s, t, b in msgs[skip:]]
         assert recs == (_eq_records(lim, nbits, targets=lim) if backend == "mpc" else [])
 
 
@@ -436,13 +440,14 @@ def test_primitive_words_identical_across_backends():
 def test_message_pattern_data_independent():
     # same shapes, different data: byte-identical transcript records
     def run(vals):
-        eng = Mpc3Engine(seed=60, record_messages=True)
+        eng = Mpc3Engine(seed=60)
+        msgs = message_log(eng)
         x = eng.share(fixed.encode(vals))
         y = eng.share(fixed.encode(vals[::-1].copy()))
         prim.sec_cmp(eng, x, y, "LT")
         prim.sec_eq(eng, x, np.zeros(vals.size, dtype=np.uint64))
         prim.sec_exp(eng, x)
-        return eng.transcript.records
+        return msgs
 
     rng = np.random.default_rng(61)
     recs_a = run(-rng.uniform(0, 16, size=40))
@@ -499,12 +504,13 @@ def test_sec_cmp_round_count_closed_form():
 def test_log_depth_networks_records_data_independent():
     # the borrow network and the suffix-OR scan run in sec_ln and sec_sqrt
     def run(vals):
-        eng = Mpc3Engine(seed=65, record_messages=True)
+        eng = Mpc3Engine(seed=65)
+        msgs = message_log(eng)
         x = eng.share(fixed.encode(vals))
         prim.sec_ln(eng, x)
         prim.sec_sqrt(eng, x)
         eng.value_bits(eng.share(np.arange(vals.size, dtype=np.uint64)), range(34))
-        return eng.transcript.records
+        return msgs
 
     rng = np.random.default_rng(66)
     recs_a = run(rng.uniform(0.01, 2.0, size=(2, 7)))
@@ -547,11 +553,12 @@ def test_value_bits_at_63_messages_match_a_lone_sign_network():
     # the sign bit costs what a network for bit 63 alone costs: one daBit,
     # a borrow scan of depth 6 and no round for the XOR with m_63 ^ r_63
     for shape in ((4,), (2, 2)):
-        eng = Mpc3Engine(seed=68, record_messages=True)
+        eng = Mpc3Engine(seed=68)
+        msgs = message_log(eng)
         d = eng.share(_SIGN_VALUES.astype(np.uint64).reshape(shape))
-        start, skip = eng.transcript.rounds, len(eng.transcript.records)
+        start, skip = eng.transcript.rounds, len(msgs)
         eng.value_bits(d, (63,))
-        got = [(r - start, s, t, b) for r, _, s, t, b in eng.transcript.records[skip:]]
+        got = [(r - start, s, t, b) for r, _, s, t, b in msgs[skip:]]
         assert got == _sign_network_records(4), shape
         assert eng.transcript.counters["dabit"] == 4
 
@@ -560,13 +567,14 @@ def test_packed_networks_records_data_independent():
     # zeros, ties, the ends of the ln and sqrt domains and random values:
     # byte-identical records for truncation, comparison, ln and sqrt
     def run(vals):
-        eng = Mpc3Engine(seed=70, record_messages=True)
+        eng = Mpc3Engine(seed=70)
+        msgs = message_log(eng)
         x = eng.share(fixed.encode(vals))
         eng.trunc(x, 16)
         prim.sec_cmp(eng, x, eng.share(fixed.encode(vals[::-1].copy())), "LT")
         prim.sec_ln(eng, x)
         prim.sec_sqrt(eng, x)
-        return eng.transcript.records
+        return msgs
 
     rng = np.random.default_rng(70)
     runs = [run(v) for v in (

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from fixed_reference import fx_mul_trunc
+from message_log import message_log
 from mpcsyn import fixed, rss
 from mpcsyn.primitives import sec_eq
 from mpcsyn.rss import (
@@ -101,12 +102,13 @@ def test_mul_exact_and_three_messages():
 
 
 def test_mul_message_shape_and_channels():
-    eng = Mpc3Engine(seed=11, record_messages=True)
+    eng = Mpc3Engine(seed=11)
+    msgs = message_log(eng)
     x = eng.share(np.arange(4, dtype=np.uint64))
     y = eng.share(np.arange(4, dtype=np.uint64))
     with eng.scope("probe"):
         eng.mul(x, y)
-    recs = [r for r in eng.transcript.records if r[1] == "probe"]
+    recs = [r for r in msgs if r[1] == "probe"]
     # one ring element per input element per party, ring around the triangle
     assert sorted((s, r) for _, _, s, r, _ in recs) == [(1, 3), (2, 1), (3, 2)]
     assert all(nbytes == 4 * 8 for *_, nbytes in recs)
@@ -345,16 +347,17 @@ def test_eq_public_opens_each_element_once(nbits):
     # element of x, whatever the targets, and records fixed by the shapes
     n, records = 9, []
     for data_seed in (0, 1):
-        eng = Mpc3Engine(seed=39, record_messages=True)
+        eng = Mpc3Engine(seed=39)
+        msgs = message_log(eng)
         rng = np.random.default_rng(data_seed)
         x = eng.share(rng.integers(0, 4, size=(1, n)).astype(np.uint64))
         targets = rng.integers(0, 4, size=(4, 1)).astype(np.uint64)
-        start, skip = eng.transcript.rounds, len(eng.transcript.records)
+        start, skip = eng.transcript.rounds, len(msgs)
         eng.eq_public(x, targets, nbits)
         assert eng.transcript.counters["mask_bit"] == nbits * n
         assert eng.transcript.counters["masked_open"] == n
         assert eng.transcript.rounds - start == 3 + (nbits - 1).bit_length()
-        records.append([(r - start, *rest) for r, *rest in eng.transcript.records[skip:]])
+        records.append([(r - start, *rest) for r, *rest in msgs[skip:]])
     assert records[0] == records[1]
 
 
@@ -387,25 +390,85 @@ def test_scale_pub_just_inside_contract():
             assert abs(got - v * c) < 2.0**-30 * (1 + abs(v)), (backend, v, c)
 
 def test_transcript_byte_totals_match_records():
-    eng = Mpc3Engine(seed=22, record_messages=True)
+    eng = Mpc3Engine(seed=22)
+    msgs = message_log(eng)
     x = eng.share(np.arange(16, dtype=np.uint64))
     y = eng.share(np.arange(16, dtype=np.uint64))
     eng.trunc(eng.mul(x, y))
     eng.open(x)
     t = eng.transcript
-    assert t.byte_count == sum(r[4] for r in t.records)
-    assert t.msg_count == len(t.records)
-    assert sum(c["bytes"] for c in t.channels.values()) == t.byte_count
+    assert t.byte_count == sum(r[4] for r in msgs)
+    assert t.msg_count == len(msgs)
+    assert sum(c["bytes"] for c in t.summary()["channels"].values()) == t.byte_count
+
+
+def _scripted_run(eng):
+    """share, a mul in nested scopes, two openings and one truncation of
+    two elements: the transcript the two summary tests read."""
+    x = eng.share(np.arange(2, dtype=np.uint64), owner=1)
+    with eng.scope("outer"), eng.scope("inner"):
+        y = eng.mul(x, x)
+    eng.open(y, to=0)
+    eng.open(y)
+    eng.trunc(y)
+
+
+def test_transcript_summary_value_by_value():
+    # rounds: share 1, mul 2, open(to=0) 3, open() 4; trunc's conversion
+    # 5-6 (66 rows in, 2 sums and 2 daBits out), its opening 7, five AND
+    # levels 8-12 (2 words) and the fused opening of the two taps 13
+    eng = Mpc3Engine(seed=21)
+    msgs = message_log(eng)
+    _scripted_run(eng)
+    want = {
+        "messages": 44,
+        "bytes": 2160,
+        "rounds": 13,
+        "channels": {
+            "1->2": {"messages": 3, "bytes": 48},
+            "1->3": {"messages": 10, "bytes": 288},
+            "2->1": {"messages": 13, "bytes": 1392},
+            "2->3": {"messages": 4, "bytes": 80},
+            "3->1": {"messages": 4, "bytes": 64},
+            "3->2": {"messages": 10, "bytes": 288},
+        },
+        "counters": {"dabit": 4, "mask_bit": 128, "masked_open": 2, "mul": 2, "trunc": 2},
+        # only the innermost scope is charged: "outer" sent nothing itself
+        "scopes": {
+            "inner": {"messages": 3, "bytes": 48},
+            "top": {"messages": 41, "bytes": 2112},
+        },
+    }
+    assert eng.transcript.summary() == want
+    assert (len(msgs), sum(r[4] for r in msgs), msgs[-1][0]) == (44, 2160, 13)
+    for group, key_of in (("channels", lambda r: f"{r[2]}->{r[3]}"), ("scopes", lambda r: r[1])):
+        for key, totals in want[group].items():
+            sizes = [r[4] for r in msgs if key_of(r) == key]
+            assert {"messages": len(sizes), "bytes": sum(sizes)} == totals, (group, key)
+    assert [r[1:4] for r in msgs[:5]] == [("top", 2, 3), ("top", 2, 1), ("inner", 2, 1),
+                                          ("inner", 3, 2), ("inner", 1, 3)]
+
+
+def test_plain_engine_summary_has_no_messages():
+    eng = PlainEngine(seed=21)
+    msgs = message_log(eng)
+    _scripted_run(eng)
+    assert eng.transcript.summary() == {
+        "messages": 0, "bytes": 0, "rounds": 0, "channels": {},
+        "counters": {"mul": 2, "trunc": 2}, "scopes": {},
+    }
+    assert msgs == []
 
 
 def test_full_run_deterministic_for_fixed_seed():
     def run(seed):
-        eng = Mpc3Engine(seed=seed, record_messages=True)
+        eng = Mpc3Engine(seed=seed)
+        msgs = message_log(eng)
         x = eng.share(fixed.encode(np.linspace(-4, 4, 33)))
         y = eng.trunc(eng.mul(x, x))
         u = eng.rand_uniform01(33)
         out = eng.reconstruct(eng.add(y, u))
-        return out, eng.transcript.records, eng.transcript.summary()
+        return out, msgs, eng.transcript.summary()
 
     out1, recs1, sum1 = run(23)
     out2, recs2, sum2 = run(23)
@@ -504,12 +567,13 @@ def test_trunc_round_count_closed_form():
 
 def test_borrow_network_records_data_independent():
     def run(x):
-        eng = Mpc3Engine(seed=30, record_messages=True)
+        eng = Mpc3Engine(seed=30)
+        msgs = message_log(eng)
         for taps in ([63], [30, 64], list(range(1, 39))):
             m, mask = eng.masked_open(eng.share(x), dabits=[t - 1 for t in taps])
             eng.borrow_taps(m, mask, taps)
         eng.trunc(eng.share(x), 26)
-        return eng.transcript.records
+        return msgs
 
     rng = np.random.default_rng(30)
     runs = [run(rng.integers(0, 1 << 64, size=(3, 5), dtype=np.uint64)) for _ in range(2)]
@@ -520,17 +584,10 @@ def _fused_opening(run):
     """Run ``run(eng)`` on a fresh engine and return the word its last
     round opened: the XOR of the three parties' words in that round."""
     eng = Mpc3Engine(seed=36)
-    sent = {}
-    send = eng._send
-
-    def spy(sender, receiver, arr):
-        sent[(eng.transcript.rounds, sender)] = arr.copy()
-        return send(sender, receiver, arr)
-
-    eng._send = spy
+    msgs = message_log(eng, payloads=True)
     run(eng)
-    last = eng.transcript.rounds
-    return sent[(last, 0)] ^ sent[(last, 1)] ^ sent[(last, 2)]
+    last = {s: arr for r, _, s, _, _, arr in msgs if r == eng.transcript.rounds}
+    return last[1] ^ last[2] ^ last[3]
 
 
 def test_fused_opening_reveals_uniform_bits():
@@ -719,11 +776,10 @@ def test_xor3_masked_word_uniform_for_fixed_bits():
     n = 40_000
     for b0, b1, b2 in ((0, 0, 0), (1, 0, 1), (1, 1, 1)):
         eng = Mpc3Engine(seed=75)
-        sent, send = [], eng._send
-        eng._send = lambda s, r, arr: sent.append((s, r, arr.copy())) or send(s, r, arr)
+        msgs = message_log(eng, payloads=True)
         eng._xor3(*(np.full(n, v, dtype=np.uint64) for v in (b0, b1, b2)))
-        sender, receiver, word = sent[0]  # round 1's only message
-        assert (sender, receiver, word.shape) == (1, 0, (n,))
+        _, _, sender, receiver, _, word = msgs[0]  # round 1's only message
+        assert (sender, receiver, word.shape) == (2, 1, (n,))  # index 1 to index 0
         # s is zero stream 1's next draw: pair {1, 2}, not index 0's pairs
         s = rss._philox(75, rss._PURPOSE_ZERO_SHARE, 1).bit_generator.random_raw(n)
         assert np.array_equal(word, np.uint64(b0 ^ b1) + s)
@@ -736,9 +792,10 @@ def test_xor3_records_closed_form_and_data_independent():
     # round 1: one word per bit from party 2 to party 1; round 2: one
     # resharing of one word per output row (a weighted sum or a daBit)
     def records(bits, weights):
-        eng = Mpc3Engine(seed=76, record_messages=True)
+        eng = Mpc3Engine(seed=76)
+        msgs = message_log(eng)
         eng._xor3(*bits, weights)
-        return eng.transcript.records, eng.transcript.rounds
+        return msgs, eng.transcript.rounds
 
     n, rows = 16, 64 + 3
     for weights, out_rows in ((None, rows), (_CONVERSION_WEIGHTS[:1], 1 + 3),
