@@ -24,6 +24,7 @@ import numpy as np
 
 from .marginals import (
     AttrDomain,
+    CoverageError,
     Dataset,
     Holding,
     PartitionPlan,
@@ -212,8 +213,11 @@ def partition(dataset: Dataset, mode: str, seed: int = 0):
             raise ValueError(f"mixed partition spec {arg!r}: {e}") from e
         if not isinstance(spec, list):
             raise ValueError(f"mixed partition spec {arg!r}: not a list of holdings")
-        plan = PartitionPlan(tuple(_holding(h, arg) for h in spec))
-        plan.validate(n, d)
+        try:
+            plan = PartitionPlan(tuple(_holding(h, arg) for h in spec))
+            plan.validate(n, d)
+        except CoverageError as e:
+            raise CoverageError(f"mixed partition spec {arg!r}: {e}") from None
         return dataset, plan
     raise ValueError(f"unknown partition mode {mode!r}")
 

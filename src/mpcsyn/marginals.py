@@ -180,6 +180,9 @@ class Holding:
         object.__setattr__(self, "attrs", tuple(sorted(int(a) for a in self.attrs)))
         if self.rows[0] < 0 or self.rows[1] < self.rows[0]:
             raise CoverageError("invalid row range")
+        if min(self.attrs, default=0) < 0 or len(set(self.attrs)) != len(self.attrs):
+            raise CoverageError(f"holding attributes {list(self.attrs)} are not "
+                                "distinct nonnegative indices")
 
     @property
     def n_rows(self) -> int:

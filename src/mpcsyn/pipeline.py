@@ -56,7 +56,7 @@ _UPDATE_BUFSIZE = 1 << 11
 _MIN_RUN = _UPDATE_BUFSIZE
 
 _GAUSSIAN_KINDS = ("gaussian-irwin-hall", "gaussian-box-muller")
-# selection's exponent scale c * 2^k stays below this (_check_exponent_scale)
+# selection's exponent scale c * 2^k stays below this (_score_scaling)
 _EXPONENT_SCALE_LIMIT = 2.0**62
 
 
@@ -263,6 +263,9 @@ class SelectScoreParams:
     def __post_init__(self):
         if self.algo not in ("AIM", "MWEM"):
             raise ValueError(f"unknown selection algorithm {self.algo!r}")
+        if not (math.isfinite(self.epsilon_select) and self.epsilon_select > 0):
+            raise ValueError("epsilon_select must be finite and positive, "
+                             f"got {self.epsilon_select!r}")
         if any(b < 0 for b in self.bias):
             raise ValueError("AIM bias terms must be nonnegative")
 
@@ -274,82 +277,63 @@ def expected_noise_l1(noise_kind: str, scale: float, cells: int) -> float:
     return per_cell * cells
 
 
-def _score_scales(params: SelectScoreParams, workload: Workload):
-    """Public score scales: (exponent scale, per-query weights).
+def _score_scaling(n: int, params: SelectScoreParams, workload: Workload):
+    """Selection's public score scaling on n rows: (k, c * 2^k, per-query
+    weights or None, floor word or None).
 
     AIM weights each query by its workload weight; MWEM is AIM with unit
     weights and no bias, and this is the one place the two differ. The
-    score's sensitivity is the largest weight, so the exponent scale is
+    score's sensitivity is the largest weight, so the exponent scale c is
     epsilon_select / (2 max w); all-zero weights raise ``ValueError``.
-    Uniform weights fold into the exponent scale, where they commute with
-    the max-subtract, and the weights come back as ``None``.
+    Uniform weights fold into c, where they commute with the
+    max-subtract, and the weights come back as ``None``.
+
+    Counts and model answers each sum to n, so a query's L1 lies in
+    [0, 2n + 1]: one count of slack covers the model's normalization
+    tolerance and the fixed-point rounding of its answers. With uniform
+    weights the max-shifted scores L1 - b_q are within
+    2n + 1 + (max bias - min bias) of 0. Non-uniform weights w_q scale
+    each L1 - b_q in [-b_q, 2n + 1 - b_q], so the weighted scores, their
+    products and their max-shifted span are all within
+    max(1, max w) * (2n + 1 + max bias). That bound covers every value
+    scale_pub sees before the scores are shifted right by k bits, the
+    smallest k >= 0 with the bound below 2^(15 + k); the exponent scale
+    then grows to c * 2^k.
+
+    Where the bound times c reaches 2^15, the max-shifted scores are
+    floored (``_score_floor``) at -ceil((16 + 2^-10) 2^F / (c 2^k)) raw,
+    which is -1 once c * 2^k >= 2^36 + 2^22. scale_pub multiplies by an integer scale
+    exactly and unchecked, so a one-ulp floor scales to the raw word
+    -c * 2^k, which sec_exp's clamp compares: inside sec_cmp's
+    |x| < 2^(62-F), a raw 2^62, iff c * 2^k < 2^62. A non-integer scale
+    is encoded, which needs it below 2^(63-F) = 2^31; below that the
+    floor's product stays under 2^36 + 2^22 + 2^31 raw, inside
+    scale_pub's 2^15. Every float from 2^52 on is an integer, so
+    ``ValueError`` is raised unless c * 2^k < 2^62, and unless
+    c * 2^k < 2^31 where it is not an integer.
     """
     weights = [float(w) for w in workload.weights] \
         if params.algo == "AIM" else [1.0]
     if not max(weights) > 0:
         raise ValueError("AIM needs a positive workload weight")
-    scale = 0.5 * params.epsilon_select / max(weights)
+    c = 0.5 * params.epsilon_select / max(weights)
     if len(set(weights)) == 1:
-        return scale * weights[0], None
-    return scale, weights
-
-
-def _score_bound(n: int, params: SelectScoreParams,
-                 workload: Workload) -> float:
-    """Public bound on every value scale_pub sees in selection, before
-    the shift by ``_score_shift``.
-
-    Counts and model answers each sum to the row count n, so a query's
-    L1 lies in [0, 2n + 1]: one count of slack covers the model's
-    normalization tolerance and the fixed-point rounding of its answers.
-    With uniform weights the max-shifted scores L1 - b_q are within
-    2n + 1 + (max bias - min bias) of 0; with no bias that is 2n + 1.
-    Non-uniform weights w_q scale each L1 - b_q in [-b_q, 2n + 1 - b_q],
-    so the weighted scores, their products and their max-shifted span
-    are all within max(1, max w) * (2n + 1 + max bias).
-    """
-    _, weights = _score_scales(params, workload)
-    if weights is None:
-        return 2 * n + 1 + (max(params.bias, default=0)
-                            - min(params.bias, default=0))
-    return (2 * n + 1 + max(params.bias)) * max(1.0, *weights)
-
-
-def _score_shift(n: int, params: SelectScoreParams,
-                 workload: Workload) -> int:
-    """Bits k by which selection shifts its scores right before scaling
-    them: the smallest k >= 0 with ``_score_bound`` below 2^(15 + k)."""
-    bound = _score_bound(n, params, workload)
+        c, weights = c * weights[0], None
+        bound = 2 * n + 1 + (max(params.bias, default=0)
+                             - min(params.bias, default=0))
+    else:
+        bound = (2 * n + 1 + max(params.bias)) * max(1.0, *weights)
     k = 0
     while bound >= SCALE_PUB_LIMIT * 2**k:
         k += 1
-    return k
-
-
-def _check_exponent_scale(n: int, params: SelectScoreParams,
-                          workload: Workload) -> None:
-    """Raise ``ValueError`` where selection's public exponent scale
-    c * 2^k would break a range contract on some data.
-
-    Where the scale is that large, the scores are floored
-    (``_score_floor``) at -ceil((16 + 2^-10) 2^F / (c 2^k)) raw, which is
-    -1 once c * 2^k >= 2^36 + 2^22. scale_pub multiplies by an integer
-    scale exactly and unchecked, so a one-ulp floor scales to the raw
-    word -c * 2^k, which sec_exp's clamp compares: inside sec_cmp's
-    |x| < 2^(62-F), a raw 2^62, iff c * 2^k < 2^62. A non-integer scale
-    is encoded, which needs it below 2^(63-F) = 2^31; below that the
-    floor's product stays under 2^36 + 2^22 + 2^31 raw, inside scale_pub's
-    2^15. Every float from 2^52 on is an integer, so the edges are
-    c * 2^k < 2^62, and c * 2^k < 2^31 unless it is an integer.
-    """
-    exponent_scale, _ = _score_scales(params, workload)
-    scale = exponent_scale * 2**_score_shift(n, params, workload)
+    scale = c * 2**k
     if scale >= _EXPONENT_SCALE_LIMIT:
         edge = "reaches 2^62"
     elif scale >= RANGE_LIMIT and scale != int(scale):
         edge = "is not an integer and reaches 2^31"
     else:
-        return
+        floor = _score_floor(scale) if bound * c >= SCALE_PUB_LIMIT else None
+        return k, scale, weights, floor
     raise ValueError(f"selection's exponent scale c * 2^k = {scale:.6g} {edge}, "
                      f"where a floored score breaks a range contract")
 
@@ -376,16 +360,20 @@ def _selection_weights(eng, shared_counts, model_answers, workload, params):
     per-query sums give. Uniform query weights fold into the exponent
     scale instead of costing a truncation each.
 
-    Where the public score bound reaches scale_pub's 2^15 (from n =
-    16,384 rows on; every query's model answers sum to n), one batched
-    truncation shifts the L1 scores right by k bits (``_score_shift``);
+    The public scaling comes first, before any engine call, from
+    ``_score_scaling`` on the row count n that every query's model answers
+    sum to; it raises ``ValueError`` where a scaled score could wrap. Where
+    the public score bound reaches scale_pub's 2^15 (from n = 16,384 rows
+    on), one batched truncation shifts the L1 scores right by its k bits;
     the bias is subtracted in the shifted domain and the exponent scale
-    grows by 2^k. Where the bound times the exponent scale reaches 2^15,
-    the max-shifted scores are floored at ``_score_floor`` first (one
-    batched comparison and one multiply): every score below it would
-    scale under -16, where sec_exp clamps, so every weight keeps the word
-    an unwrapped scaling gives. Both conditions read public values only.
+    is c * 2^k. Where the bound times c reaches 2^15, the max-shifted
+    scores are floored at its floor word first (one batched comparison
+    and one multiply): every score below it would scale under -16, where
+    sec_exp clamps, so every weight keeps the word an unwrapped scaling
+    gives.
     """
+    n = round(float(np.sum(model_answers[0])))
+    k, scale, weights, floor = _score_scaling(n, params, workload)
     starts = np.cumsum([0] + [c.shape[0] for c in shared_counts[:-1]])
     answers = np.concatenate([np.asarray(a, dtype=np.float64)
                               for a in model_answers])
@@ -395,14 +383,11 @@ def _selection_weights(eng, shared_counts, model_answers, workload, params):
     neg = sec_cmp(eng, flat, eng.zeros(flat.shape), "LT")
     sgn = eng.add_const(eng.mul_const_int(neg, -2), np.asarray(1))
     scores = eng.sum_segments(eng.mul(sgn, flat), starts)
-    n = round(float(np.sum(model_answers[0])))
-    k = _score_shift(n, params, workload)
     if k:
         scores = eng.trunc(scores, k)
     if params.bias:
         scores = eng.sub_const(scores, encode(
             np.asarray(params.bias, dtype=np.float64) / 2**k))
-    exponent_scale, weights = _score_scales(params, workload)
     if weights is not None:
         scores = eng.concat(
             [eng.scale_pub(eng.index(scores, slice(i, i + 1)), weights[i])
@@ -411,10 +396,8 @@ def _selection_weights(eng, shared_counts, model_answers, workload, params):
         )
     top = eng.broadcast_to(sec_max(eng, scores), scores.shape)
     shifted = eng.sub(scores, top)
-    scale = exponent_scale * 2**k
-    if _score_bound(n, params, workload) * exponent_scale >= SCALE_PUB_LIMIT:
-        floor = eng.const_vec(np.full(shifted.shape, _score_floor(scale),
-                                      dtype=np.uint64))
+    if floor is not None:
+        floor = eng.const_vec(np.full(shifted.shape, floor, dtype=np.uint64))
         below = sec_cmp(eng, shifted, floor, "LT")
         shifted = eng.add(shifted, eng._mul_raw(below, eng.sub(floor, shifted)))
     return sec_softmax_unnorm(eng, eng.scale_pub(shifted, scale))
@@ -595,9 +578,10 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
     Gaussian noise kind meets eps_measure >= 1
     (``PrivacyBudget.measure_scale``), when the noise scale times the
     sampler's tail bound (``NOISE_TAIL``) reaches scale_pub's 2^15 range,
-    where the scaled noise would wrap, and when selection's exponent scale
-    reaches 2^62, or 2^31 without being an integer
-    (``_check_exponent_scale``).
+    where the scaled noise would wrap, for an unknown selection algorithm
+    (``SelectScoreParams``), and when selection's exponent scale reaches
+    2^62, or 2^31 without being an integer (``_score_scaling``, which each
+    selection round calls again on the same public values).
     """
     schema = dataset.schema
     n = int(dataset.rows.shape[0])
@@ -607,8 +591,6 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
         raise ValueError("workload must contain at least one query")
     if max(max(q.attrs, default=-1) for q in workload.queries) >= schema.dims:
         raise ValueError(f"a workload attribute index is outside [0, {schema.dims})")
-    if algo not in ("AIM", "MWEM"):
-        raise ValueError(f"unknown selection algorithm {algo!r}")
     if schema.domain_size > MAX_JOINT_CELLS:
         raise ValueError("joint domain too large for the explicit model")
     scale = budget.measure_scale(noise_kind)
@@ -619,12 +601,10 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
             f"{NOISE_TAIL[noise_kind]:.4g} reaches 2^15, outside "
             f"scale_pub's range")
 
-    eps_select = float(budget.epsilon_select)
-    bias = tuple(expected_noise_l1(noise_kind, scale, q.size(schema))
-                 for q in workload.queries)
-    params = SelectScoreParams("AIM", eps_select, bias) \
-        if algo == "AIM" else SelectScoreParams("MWEM", eps_select)
-    _check_exponent_scale(n, params, workload)
+    params = SelectScoreParams(algo, float(budget.epsilon_select), tuple(
+        expected_noise_l1(noise_kind, scale, q.size(schema))
+        for q in workload.queries) if algo == "AIM" else ())
+    _score_scaling(n, params, workload)
 
     eng = make_engine(backend, seed=seed)
     answers = compute_workload_answers(eng, dataset, plan, workload)
@@ -641,7 +621,7 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
             selected = select_aim(eng, shared_counts, model, workload, params)
         else:
             selected = select_mwem(eng, shared_counts, model, workload,
-                                   eps_select)
+                                   params.epsilon_select)
         qi = workload.queries.index(selected)
         counts = shared_counts[qi]
         noise_share = eng.index(

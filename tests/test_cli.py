@@ -261,6 +261,10 @@ def _with_first_attr(**fields):
     ("domain", _with_first_attr(cardinality=3.5)),
     ("workload", {"queries": "ab"}),
     ("mixed", [{"rows": [0, 2000]}]),
+    ("mixed", [{"rows": [0, 2000], "attrs": [0, 1, 2]},
+               {"rows": [0, 2000], "attrs": [3, -1]}]),
+    ("mixed", [{"rows": [0, 2000], "attrs": [0, 1, 2]},
+               {"rows": [0, 2000], "attrs": [3, 4, 4]}]),
 ])
 def test_malformed_input_file_exits_one(tmp_path, capsys, kind, doc):
     # without the format checks, each of these raises AttributeError,

@@ -65,6 +65,18 @@ def test_workload_weights():
             M.Workload((q,), (w,))
 
 
+def test_holding_validation():
+    h = M.Holding((0, 5), (2, 0))
+    assert h.attrs == (0, 2) and h.n_rows == 5
+    with pytest.raises(M.CoverageError, match="row range"):
+        M.Holding((3, 2), (0,))
+    # a negative attribute used to cover the last column by numpy's
+    # negative indexing and validate; a repeated one validated silently
+    for attrs in ((3, -1), (-2,), (3, 4, 4), (0, 0)):
+        with pytest.raises(M.CoverageError, match="distinct nonnegative"):
+            M.Holding((0, 2), attrs)
+
+
 def test_local_compute_pinned_examples():
     eng = make_engine("cdp", seed=80)
     schema = small_schema()

@@ -454,6 +454,41 @@ def test_select_score_params_validation(monkeypatch):
                          noise_kind="laplace-sign", backend=backend, seed=2)
 
 
+# (epsilon_select, error): past the exponent scale's edges (c = 2^62,
+# 2^63 and the non-integer 2^31 + 0.5 on 1,000 rows, so k = 0), then
+# budgets that are not finite and positive
+_DIRECT_SELECT_REFUSALS = [
+    (2.0**63, "exponent scale"), (2.0**64, "exponent scale"),
+    (2.0**32 + 1, "exponent scale"),
+    (-0.2, "finite and positive"), (0.0, "finite and positive"),
+    (math.nan, "finite and positive"), (math.inf, "finite and positive"),
+    (-math.inf, "finite and positive"),
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_direct_selection_fails_closed(backend):
+    # two 2-cell queries of 1,000 rows, the second one's model exact.
+    # Unchecked, a direct select_mwem at epsilon 2^64 ran mpc's whole
+    # protocol on wrapped words while cdp raised RangeContractError; -0.2
+    # picked uniformly, and NaN and inf failed on mpc after 68 messages
+    n = 1000
+    wl = Workload((Query((0,)), Query((1,))))
+    model = [np.array([0.0, n]), np.array([n / 2, n / 2])]
+    for eps, match in _DIRECT_SELECT_REFUSALS:
+        for algo in ("MWEM", "AIM"):
+            eng = make_engine(backend, seed=6)
+            counts = share_counts(eng, [[n, 0], [n // 2, n // 2]])
+            before, msgs = eng.transcript.summary(), message_log(eng)
+            with pytest.raises(ValueError, match=match):
+                if algo == "MWEM":
+                    select_mwem(eng, counts, model, wl, eps)
+                else:
+                    select_aim(eng, counts, model, wl,
+                               SelectScoreParams("AIM", eps, (0.0, 0.0)))
+            assert msgs == [] and eng.transcript.summary() == before, (eps, algo)
+
+
 def test_select_aim_prefers_high_error_query():
     # one query far off, zero bias, generous epsilon: picked essentially
     # always (worst competitor weight is the e^-16 exponent clamp)
@@ -625,20 +660,34 @@ def test_selection_weights_one_pass_matches_per_query(backend, algo, weights):
             assert one_msgs == ref_msgs, inst
 
 
-def test_score_shift_edges():
-    # the smallest k with the public score bound below 2^(15 + k)
+def test_score_scaling_edges():
+    # (k, c * 2^k, weights, floor): k is the smallest with the public score
+    # bound below 2^(15 + k). MWEM at epsilon 1 has c = 0.5, so the floor
+    # appears once 2n + 1 reaches 2^16, as the word of -(16 + 2^-10) / 2
     one = Workload((Query((0,)), Query((1,))))
     for rows, k in ((0, 0), (16_383, 0), (16_384, 1), (32_767, 1), (32_768, 2)):
-        assert pipeline._score_shift(rows, SelectScoreParams("MWEM", 1.0), one) == k, rows
+        floor = 2**64 - 2**35 - 2**21 if rows == 32_768 else None
+        assert pipeline._score_scaling(rows, SelectScoreParams("MWEM", 1.0), one) \
+            == (k, 0.5 * 2**k, None, floor), rows
     # AIM, uniform weights: 2n + 1 plus the bias spread
-    for bias, k in (((5.0, 32_771.0), 0), ((5.0, 32_772.0), 1)):
+    for bias, want in (((5.0, 32_771.0), (0, 0.5, None, None)),
+                       ((5.0, 32_772.0), (1, 1.0, None, None))):
         params = SelectScoreParams("AIM", 1.0, bias)
-        assert pipeline._score_shift(0, params, one) == k, bias
-    # non-uniform weights: (2n + 1 + max bias) times the largest weight
+        assert pipeline._score_scaling(0, params, one) == want, bias
+    # non-uniform weights: (2n + 1 + max bias) times the largest weight,
+    # and c = epsilon / (2 max w)
     weighted = Workload(one.queries, (0.5, 2.0))
-    for bias, k in (((0.0, 16_382.0), 0), ((0.0, 16_383.0), 1)):
+    for bias, want in (((0.0, 16_382.0), (0, 0.25, [0.5, 2.0], None)),
+                       ((0.0, 16_383.0), (1, 0.5, [0.5, 2.0], None))):
         params = SelectScoreParams("AIM", 1.0, bias)
-        assert pipeline._score_shift(0, params, weighted) == k, bias
+        assert pipeline._score_scaling(0, params, weighted) == want, bias
+    # 1,000 rows: the product edge (2n + 1) c = 2^15 (see
+    # test_selection_weights_floor_at_the_product_edge)
+    for side in (0.999, 1.001):
+        c = side * 2**15 / 2001
+        floor = pipeline._score_floor(c) if side > 1 else None
+        assert pipeline._score_scaling(1000, SelectScoreParams("MWEM", 2 * c), one) \
+            == (0, c, None, floor), side
     with pytest.raises(ValueError, match="nonnegative"):
         SelectScoreParams("AIM", 1.0, (-1.0, 0.0))
 
@@ -655,7 +704,7 @@ def test_selection_weights_at_the_shift_edge(algo, rows, k):
     exact[: rows % 64] += 1
     model = [np.full(64, rows / 64), exact.astype(np.float64)]
     params = SelectScoreParams(algo, 0.0008, (1.0, 1.0) if algo == "AIM" else ())
-    assert pipeline._score_shift(rows, params, wl) == k
+    assert pipeline._score_scaling(rows, params, wl)[0] == k
     words = []
     for backend in BACKENDS:
         eng = make_engine(backend, seed=12)
