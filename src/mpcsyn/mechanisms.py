@@ -55,8 +55,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not self.scale >= 0.0:
-            raise ValueError("noise scale must be nonnegative")
+        if not 0.0 <= self.scale < math.inf:
+            raise ValueError(f"noise scale must be finite and nonnegative, got {self.scale!r}")
 
 
 @dataclass(frozen=True)

@@ -115,8 +115,13 @@ class PrivacyBudget:
 
     def measure_scale(self, noise_kind: str) -> float:
         """Noise scale of one measurement; raises ``ValueError`` for a
-        Gaussian kind at eps_measure >= 1, outside its bound's validity."""
+        Gaussian kind at eps_measure >= 1, outside its bound's validity,
+        and for an eps_measure that rounds to the float 0.0."""
         eps = float(self.epsilon_measure)
+        if eps == 0.0:
+            raise ValueError("epsilon_measure = epsilon_total / (2 * rounds) = "
+                             f"{float(self.epsilon_total):.6g} / {2 * self.rounds} "
+                             "rounds to 0.0 as a float")
         if _is_gaussian(noise_kind):
             if self.epsilon_measure >= 1:
                 raise ValueError(
@@ -266,8 +271,9 @@ class SelectScoreParams:
         if not (math.isfinite(self.epsilon_select) and self.epsilon_select > 0):
             raise ValueError("epsilon_select must be finite and positive, "
                              f"got {self.epsilon_select!r}")
-        if any(b < 0 for b in self.bias):
-            raise ValueError("AIM bias terms must be nonnegative")
+        if not all(0 <= b < math.inf for b in self.bias):
+            raise ValueError("AIM bias terms must be finite and nonnegative, "
+                             f"got {self.bias!r}")
 
 
 def expected_noise_l1(noise_kind: str, scale: float, cells: int) -> float:
@@ -575,7 +581,8 @@ def run_pipeline(dataset: Dataset, plan: PartitionPlan, workload: Workload,
 
     Raises ``ValueError`` before any protocol work when the dataset has
     no rows, when a query names an attribute outside the schema, when a
-    Gaussian noise kind meets eps_measure >= 1
+    Gaussian noise kind meets eps_measure >= 1, or any kind an
+    eps_measure that rounds to the float 0.0
     (``PrivacyBudget.measure_scale``), when the noise scale times the
     sampler's tail bound (``NOISE_TAIL``) reaches scale_pub's 2^15 range,
     where the scaled noise would wrap, for an unknown selection algorithm

@@ -94,7 +94,7 @@ def sec_eq(eng, x, other, nbits: int = 64):
     shared one), and reads each 2-bit chunk's test off a shared one-hot
     of the mask. Cost: ``nbits`` mask bits, one opened word and
     floor(nbits/2) products per element of x, ceil(nbits/2) - 1 ANDs per
-    output element, and 3 + ceil(log2 nbits) rounds.
+    output element, and 2 + ceil(log2 nbits) rounds.
     """
     check_width(nbits)
     if isinstance(other, (int, np.integer, np.ndarray)):
@@ -148,7 +148,7 @@ def _clamp(eng, x, lo: float, hi: float):
     One batched comparison gives [x < lo] and [hi < x], and one product
     scales each endpoint's distance from x by its indicator. Since lo < hi,
     at most one indicator is set, so x + [x < lo](lo - x) + [hi < x](hi - x)
-    is the word that clamping below, then above, gives: 9 + 1 rounds.
+    is the word that clamping below, then above, gives: 8 + 1 rounds.
     """
     lo_c = _const_like(eng, x, lo)
     hi_c = _const_like(eng, x, hi)

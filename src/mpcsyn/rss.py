@@ -23,9 +23,13 @@ words (a suffix-OR scan follows for the one-hot), one AND round per
 level, so a 64-bit borrow costs 6 rounds. daBits, random bits shared both
 ways and drawn with the mask bits, turn the wanted bits arithmetic: the
 last level's AND is opened together with the daBit as bit ^ daBit, in
-the same round. ``_xor3`` turns stream bits arithmetic with one masked
-word per bit, and sums them first where the caller needs only public
-weighted sums (a mask's word, truncation's high part, a uniform draw).
+the same round. ``_xor_terms`` turns stream bits into additive party
+terms with one masked word per bit, and each party sums its terms first
+where the caller needs only public weighted sums (truncation's high
+part, a uniform draw). A masked opening never makes r a replicated
+share: each party adds its component of x to its term of r's word, and
+the round that reshares the other rows also sends that term on, so the
+opening reveals x + r in 2 rounds.
 
 Ring arithmetic wraps mod 2^64 without any error-state handling: every
 ring op is a ufunc call or an operator on an array of at least one
@@ -243,11 +247,11 @@ class PlainVec:
 class Mask:
     """The mask r of a masked opening, shared two ways, and its daBits.
 
-    ``bits`` holds r's low ``nbits`` bits as arithmetic shares, stacked on
-    a new leading axis; a mask drawn with weight rows holds instead, in
-    ``sums``, one weighted sum of those bits per row. A mask drawn with
-    daBits also holds ``word``, the same bits packed 64 to a word, one
-    word per element, in the ShareVec layout read as XOR shares
+    Row i of ``rows`` is an arithmetic share of the weighted sum of r's
+    low ``nbits`` bits by row i of the opening's ``weights``, stacked on a
+    new leading axis (identity weights give the bits themselves). A mask
+    drawn with daBits also holds ``word``, r's bits packed 64 to a word,
+    one word per element, in the ShareVec layout read as XOR shares
     (x = c0 ^ c1 ^ c2): the pairwise stream words are its components, so
     it costs nothing (the edaBits construction). A daBit is a random bit
     shared both ways: row i of ``dabits`` is an arithmetic share of bit
@@ -255,8 +259,7 @@ class Mask:
     opened bit and is used once.
     """
 
-    bits: ShareVec | None = None
-    sums: ShareVec | None = None
+    rows: ShareVec
     dabit_pos: tuple[int, ...] = ()
     dabits: ShareVec | None = None
     word: ShareVec | None = None
@@ -742,55 +745,14 @@ class Mpc3Engine(_EngineBase):
             base.data[:, :, rslice, cols] = vec.data
         return base
 
-    def mask_bits(self, shape, nbits: int = 64, dabits=(), weights=None) -> Mask:
-        """``nbits`` uniform shared mask bits per element of ``shape`` and
-        daBits at the bit positions ``dabits`` (mask purpose streams).
-
-        Each pairwise stream draws one raw 64-bit word per element, and a
-        second one when daBits are asked for. The first word's low
-        ``nbits`` bits are the element's mask bits from that stream, the
-        second word's bits at ``dabits`` its daBits; with daBits, the raw
-        words are also kept as the packed XOR shares. One ``_xor3`` call
-        makes all of these bits arithmetic, or, given ``weights`` (a
-        (K, nbits) matrix of public words), the daBits and K weighted sums
-        of the mask bits (``Mask.sums``). Cost: ``nbits`` ``mask_bit`` and
-        len(dabits) ``dabit`` per element, and the conversion's 2 rounds.
-        """
-        check_width(nbits)
-        shape = _as_shape(shape)
-        dabits = tuple(int(p) for p in dabits)
-        if len(set(dabits)) < len(dabits) or any(not 0 <= p < 64 for p in dabits):
-            raise ValueError("daBit positions must be distinct and in [0, 64)")
-        n, k = math.prod(shape), len(dabits)
-        self.count("mask_bit", nbits * n)
-        if k:
-            self.count("dabit", k * n)
-        pos = np.concatenate([_BIT_POS[:nbits], np.array(dabits, dtype=U64)])
-        pos = pos.reshape((nbits + k,) + (1,) * len(shape))
-        word_of_row = np.repeat([0, 1], [nbits, k]) if k else 0
-        raw = [g.bit_generator.random_raw((1 + (k > 0),) + shape) for g in self._mask_streams]
-        out = self._xor3(*((w[word_of_row] >> pos) & np.uint64(1) for w in raw), weights).data
-        rows = nbits if weights is None else len(weights)
-        kept = {"bits" if weights is None else "sums": ShareVec(out[:, :, :rows])}
-        if not k:
-            return Mask(**kept)
-        # stream p is known to pair {p, p+1}: their common component p+1
-        words = self._from_components(raw[2], raw[0], raw[1]).data
-        return Mask(**kept, dabit_pos=dabits, dabits=ShareVec(out[:, :, rows:]),
-                    word=ShareVec(words[:, :, 0]), dabit_word=ShareVec(words[:, :, 1]))
-
-    def _xor3(self, b0, b1, b2, weights=None) -> ShareVec:
-        """Shared b0 ^ b1 ^ b2 per bit, or the sums ``_weigh`` makes of them.
+    def _xor_terms(self, b0, b1, b2) -> np.ndarray:
+        """Party terms, (3, *shape), that sum to b0 ^ b1 ^ b2 per bit.
 
         Bit b_p is known to pair {p, p+1}, so index 1 knows t = b0 ^ b1 and
         sends index 0 the word t + s, with s from zero stream 1, which only
         indexes 1 and 2 hold: index 0 sees a uniform word. The terms
         b2 - 2(t + s) b2 at index 0, t at index 1 and 2 s b2 at index 2 sum
-        to t ^ b2. Each party weights its terms, and one resharing (a fresh
-        zero share, then pass left) makes them replicated shares, so every
-        term a party receives is masked by that zero share. Cost: 2 rounds;
-        one word per bit from index 1 to 0, then 3 messages of one word per
-        output row.
+        to t ^ b2. Cost: 1 round, one word per bit from index 1 to 0.
         """
         w = np.empty((3,) + b0.shape, dtype=U64)
         np.bitwise_xor(b0, b1, out=w[1])
@@ -799,40 +761,79 @@ class Mpc3Engine(_EngineBase):
         u = self._send(1, 0, np.add(w[1], s, out=w[0]))
         np.subtract(b2, (u + u) * b2, out=w[0])
         np.multiply(s + s, b2, out=w[2])
-        w = _weigh(w, weights, 1)
+        return w
+
+    def _xor3(self, b0, b1, b2, weights=None) -> ShareVec:
+        """Shared b0 ^ b1 ^ b2 per bit, or the sums ``_weigh`` makes of them.
+
+        Each party weights its ``_xor_terms``, and one resharing (a fresh
+        zero share, then pass left) makes them replicated shares, so every
+        term a party receives is masked by that zero share. Cost: 2 rounds;
+        one word per bit from index 1 to 0, then 3 messages of one word per
+        output row.
+        """
+        w = _weigh(self._xor_terms(b0, b1, b2), weights, 1)
         self._reshare(w)
         return ShareVec(_pair(w))
 
     def masked_open(self, x: ShareVec, nbits: int = 64, dabits=(),
-                    weights=None) -> tuple[np.ndarray, Mask]:
-        """Open x + r for a fresh mask r of width ``nbits``; returns
-        (public, mask), with daBits at the bit positions ``dabits``.
+                    weights=()) -> tuple[np.ndarray, Mask]:
+        """Open m = x + r for a fresh mask r of width ``nbits``; returns
+        (m, mask), with daBits at the bit positions ``dabits``.
 
-        r = sum_{j < nbits} 2^j bits[j] + 2^nbits R: the low ``nbits`` bits
-        are shared bits (``mask_bits``) and R is a ring element whose three
-        components come from the pairwise mask streams, so it costs no
-        messages (the edaBits construction). The opened word is uniform, so
-        it reveals nothing, and its low ``nbits`` bits equal
-        (x + sum 2^j bits[j]) mod 2^nbits; the caller extracts what it
-        needs from those and the mask: every bit, or, given ``weights``
-        (public weight rows over the bits, possibly none), ``sums`` with
-        r's low part and the sum by each row. Cost: ``nbits`` mask bits
-        and len(dabits) daBits per element, their conversion (``_xor3``)
-        and one opening (3 rounds); the ``masked_open`` counter adds the
-        elements.
+        r = sum_{j < nbits} 2^j b_j + 2^nbits R. Each pairwise mask stream
+        draws one raw word per element, and a second one when daBits are
+        asked for: the first word's low ``nbits`` bits give the bits b_j,
+        the second word's bits at ``dabits`` the daBits, and with daBits
+        the raw words are also kept as r's packed XOR shares (the edaBits
+        construction). R's three components come from one more word per
+        stream, so it costs no messages. ``_xor_terms`` turns the bits into
+        party terms, and each party weights its terms by the row of powers
+        of two stacked over ``weights``, a (K, nbits) matrix of public
+        words (K = 0 by default), then adds its components of x and of
+        2^nbits R to row 0. One resharing makes rows 1..K (``Mask.rows``,
+        the weighted sums of the bits) and the daBits replicated shares,
+        and in the same round each party also sends its row-0 term right:
+        every party then holds all three row-0 terms, each masked by a
+        zero-stream word it lacks, and learns only their sum m, which is
+        uniform. That reveal has no second copy of a component to compare,
+        so unlike ``open`` it makes no ``IntegrityError`` check.
+
+        Cost: ``nbits`` ``mask_bit`` and len(dabits) ``dabit`` per element
+        and 2 rounds: one message of nbits + len(dabits) words per element
+        from index 1 to 0, then 3 of 1 + K + len(dabits) words and 3 of one
+        word per element; the ``masked_open`` counter adds the elements.
         """
-        self.count("masked_open", x.size)
-        rows = None if weights is None else np.vstack([_BIT_WEIGHTS[:nbits], *weights])
-        mask = self.mask_bits(x.shape, nbits, dabits, rows)
-        r = self.bit_sum(mask.bits, _BIT_WEIGHTS[:nbits]) if rows is None else self.index(mask.sums, 0)
+        check_width(nbits)
+        dabits = tuple(int(p) for p in dabits)
+        if len(set(dabits)) < len(dabits) or any(not 0 <= p < 64 for p in dabits):
+            raise ValueError("daBit positions must be distinct and in [0, 64)")
+        shape, n, k = x.shape, x.size, len(dabits)
+        self.count("masked_open", n)
+        self.count("mask_bit", nbits * n)
+        if k:
+            self.count("dabit", k * n)
+        pos = np.concatenate([_BIT_POS[:nbits], np.array(dabits, dtype=U64)])
+        pos = pos.reshape((nbits + k,) + (1,) * len(shape))
+        word_of_row = np.repeat([0, 1], [nbits, k]) if k else 0
+        raw = [g.bit_generator.random_raw((1 + (k > 0),) + shape) for g in self._mask_streams]
+        w = self._xor_terms(*((r[word_of_row] >> pos) & np.uint64(1) for r in raw))
+        w = _weigh(w, np.vstack([_BIT_WEIGHTS[:nbits], *weights]), 1)
+        w[:, 0] += x.data[:, 0]
         if nbits < 64:
-            n = int(np.prod(x.shape, dtype=np.int64))
-            high = [g.bit_generator.random_raw(n).reshape(x.shape) << np.uint64(nbits)
-                    for g in self._mask_streams]
+            high = [g.bit_generator.random_raw(shape) << np.uint64(nbits) for g in self._mask_streams]
             # stream p is known to pair {p, p+1}: their common component p+1
-            r = self.add(r, self._from_components(high[2], high[0], high[1]))
-        m = self.open(self.add(x, r))
-        return m, mask
+            w[:, 0] += self._from_components(high[2], high[0], high[1]).data[:, 0]
+        self._reshare(w)
+        for i in range(3):
+            self._send(i, (i + 1) % 3, w[i, 0])
+        m = np.asarray(np.sum(w[:, 0], axis=0, dtype=U64))
+        out, nw = _pair(w[:, 1:]), len(weights)
+        if not k:
+            return m, Mask(ShareVec(out))
+        words = self._from_components(raw[2], raw[0], raw[1]).data
+        return m, Mask(ShareVec(out[:, :, :nw]), dabit_pos=dabits, dabits=ShareVec(out[:, :, nw:]),
+                       word=ShareVec(words[:, :, 0]), dabit_word=ShareVec(words[:, :, 1]))
 
     # -- packed XOR shares ---------------------------------------------------------
     #
@@ -920,8 +921,9 @@ class Mpc3Engine(_EngineBase):
         Row i of the result is the shared borrow *into* bit taps[i], a tap
         in [1, 64], so tap 64 is the overall borrow [m < r]. The borrow
         into bit t is bit t - 1 of the packed borrow word
-        (``_borrow_word``): ceil(log2 max(taps)) rounds, the last one fused
-        with the opening that makes the tapped bits arithmetic, so
+        (``_borrow_word``): ceil(log2 max(taps)) rounds after the opening's
+        2, the last one fused with the opening that makes the tapped bits
+        arithmetic, so
         ``mask`` needs a daBit at t - 1 for every tap t. The message
         pattern depends on the taps and the shape, never on the data.
         """
@@ -937,10 +939,10 @@ class Mpc3Engine(_EngineBase):
 
         x = m - r for a masked opening, so its packed bits come from the
         borrow word (``_value_word``) and one fused opening makes them
-        arithmetic: 3 + ceil(log2 max(positions)) rounds (at least 4).
+        arithmetic: 2 + ceil(log2 max(positions)) rounds (at least 3).
         """
         positions = tuple(int(p) for p in positions)
-        m, mask = self.masked_open(x, dabits=positions, weights=())
+        m, mask = self.masked_open(x, dabits=positions)
         y, z = self._value_word(m, mask, max(positions))
         return self._open_bits(y, z, mask, positions)
 
@@ -952,10 +954,10 @@ class Mpc3Engine(_EngineBase):
         suffix-OR scan s |= s >> 2^k, each OR an AND by De Morgan,
         runs ceil(log2 nbits) rounds; bit j of s ^ (s >> 1) is the
         one-hot, and the last AND is fused with its opening. Rounds:
-        3 + ceil(log2 (nbits - 1)) + ceil(log2 nbits) for nbits >= 2.
+        2 + ceil(log2 (nbits - 1)) + ceil(log2 nbits) for nbits >= 2.
         """
         positions = tuple(range(nbits))
-        m, mask = self.masked_open(x, dabits=positions, weights=())
+        m, mask = self.masked_open(x, dabits=positions)
         y, z = self._value_word(m, mask, nbits - 1)
         if z is not None:
             self._pass_left(z)
@@ -988,13 +990,13 @@ class Mpc3Engine(_EngineBase):
         ``reduce_pairs`` ANDs the ceil(nbits/2) indicators per output
         element. Cost: ``nbits`` mask bits, one opened word and
         floor(nbits/2) products per element of x, ceil(nbits/2) - 1 ANDs
-        per output element, 3 + ceil(log2 nbits) rounds.
+        per output element, 2 + ceil(log2 nbits) rounds.
         """
         pub = as_word(pub)
         ndim = max(len(x.shape), pub.ndim)
         x = self.reshape(x, (1,) * (ndim - len(x.shape)) + x.shape)
-        m, mask = self.masked_open(x, nbits)
-        bits, pairs, chunks = mask.bits.data, nbits // 2, (nbits + 1) // 2
+        m, mask = self.masked_open(x, nbits, weights=np.eye(nbits, dtype=U64))
+        bits, pairs, chunks = mask.rows.data, nbits // 2, (nbits + 1) // 2
         # hot[:, :, i, v]: chunk i of r equals v, as [1 - r0 - r1 + p, r0 - p, r1 - p, p]
         hot = np.zeros((3, 2, chunks, 4) + x.shape, dtype=U64)
         hot[:, :, :, 1] = bits[:, :, 0::2]
@@ -1024,7 +1026,7 @@ class Mpc3Engine(_EngineBase):
         identity X >> g = (C >> g) - (R >> g) - carry_g + 2^(64-g) * ov
         holds for C = X + R (mod 2^64), carry_g = [C mod 2^g < R mod 2^g],
         ov = [C < R]; both indicator bits come from one borrow network
-        (taps g and 64, with their daBits): 3 + 6 rounds; R >> g is a sum.
+        (taps g and 64, with their daBits): 2 + 6 rounds; R >> g is a sum.
         """
         if not 0 < g < 64:
             raise ValueError("shift amount out of range")
@@ -1033,7 +1035,7 @@ class Mpc3Engine(_EngineBase):
         c_pub, mask = self.masked_open(biased, dabits=(g - 1, 63), weights=(_high_weights(g),))
         borrows = self.borrow_taps(c_pub, mask, (g, 64)).data
         carry, ov = borrows[:, :, 0], borrows[:, :, 1]
-        r_high = mask.sums.data[:, :, 1]
+        r_high = mask.rows.data[:, :, 0]
         unbias = np.uint64((1 << (63 - g)) & MASK64)
         pub = np.subtract(c_pub >> np.uint64(g), unbias)
         y = ov * (np.uint64(1) << np.uint64(64 - g)) - r_high - carry

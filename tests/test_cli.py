@@ -66,6 +66,16 @@ def test_non_finite_budget_exits_one(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("noise", [[], ["--noise", "lap"]], ids=["bm", "lap"])
+def test_gen_subnormal_epsilon_exits_one(tmp_path, capsys, noise):
+    # epsilon_measure = 5e-324 / (2 * 10) is 0.0 as a float
+    out = tmp_path / "s.csv"
+    assert cli.main(["gen", "--data", TOY_CSV, "--domain", TOY_DOMAIN,
+                     "--out", str(out), "--epsilon", "5e-324", *noise]) == 1
+    assert "error: epsilon_measure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_internal_fault_exits_two(monkeypatch, tmp_path):
     def boom(*a, **k):
         raise RuntimeError("wires crossed")

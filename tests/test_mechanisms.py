@@ -40,6 +40,9 @@ def test_noise_spec_validation():
         NoiseSpec("laplace-sign", -0.5)
     with pytest.raises(ValueError):
         NoiseSpec("laplace-sign", float("nan"))
+    for scale in (float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            NoiseSpec("gaussian-box-muller", scale)
 
 
 def test_noisy_measurement_json():

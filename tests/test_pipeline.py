@@ -25,6 +25,7 @@ from mpcsyn.marginals import (
     vertical_plan,
 )
 from mpcsyn.mechanisms import (
+    NOISE_KINDS,
     NOISE_TAIL,
     NoiseSpec,
     NoisyMeasurement,
@@ -107,6 +108,15 @@ def test_expected_noise_l1_values():
 # a misspelt Gaussian kind read as Laplace: scale 20.0 for sigma 129.45,
 # and a delta_spent of "0"
 _TYPO = "gaussian-box-muler"
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_measure_scale_refuses_an_epsilon_that_rounds_to_zero(kind):
+    # epsilon_measure = 5e-324 / 2 is 0.0 as a float, and 1 / 0.0 raised
+    # ZeroDivisionError; 1e-300 / 2 is a float, and the scale stays finite
+    with pytest.raises(ValueError, match="^epsilon_measure .* rounds to 0.0"):
+        PrivacyBudget(5e-324, 1e-9, 1).measure_scale(kind)
+    assert PrivacyBudget(1e-300, 1e-9, 1).measure_scale(kind) > 1e300
 
 
 def test_measure_scale_rejects_unknown_noise_kind():
@@ -452,6 +462,22 @@ def test_select_score_params_validation(monkeypatch):
             run_pipeline(ds, horizontal_plan(40, 3, 2), zero,
                          PrivacyBudget(1.0, 1e-9, 1), algo="AIM",
                          noise_kind="laplace-sign", backend=backend, seed=2)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_select_score_params_refuse_non_finite_bias(backend):
+    # a NaN bias sent 34 mpc messages before encode refused it, and an
+    # infinite one overflowed in the score shift
+    ds, wl = _toy_instance(n=200, seed=9)
+    for bias in (math.nan, math.inf, -1.0):
+        eng = make_engine(backend, seed=4)
+        counts = share_counts(eng, [exact_marginal(ds.rows, q, ds.schema) for q in wl.queries])
+        model = [np.full(q.size(ds.schema), 200.0 / q.size(ds.schema)) for q in wl.queries]
+        msgs = message_log(eng)
+        with pytest.raises(ValueError, match="bias terms must be finite and nonnegative"):
+            select_aim(eng, counts, model, wl,
+                       SelectScoreParams("AIM", 1.0, (bias,) + (0.0,) * (len(wl.queries) - 1)))
+        assert msgs == [], bias
 
 
 # (epsilon_select, error): past the exponent scale's edges (c = 2^62,
@@ -962,6 +988,33 @@ def _toy_instance(n=200, seed=0, cards=(3, 3, 3)):
     queries = tuple(Query((j,)) for j in range(len(cards)))
     queries += (Query((0, 1)), Query((1, 2)))
     return ds, Workload(queries)
+
+
+# (partition, algo, noise, rounds) -> (rounds, messages, messages per
+# scope) of one mpc synthesis of n = 2,000 toy rows
+_TRANSCRIPT_SHAPES = {
+    ("horizontal:3", "MWEM", "gaussian-box-muller", 10): (2862, 9750, {
+        "noise_bm": 1924, "pi_measure": 76, "pi_rc": 1220, "select": 6440, "top": 90}),
+    ("vertical:2", "AIM", "gaussian-irwin-hall", 3): (741, 2518, {
+        "noise_ih": 4, "pi_comp": 132, "pi_measure": 62, "pi_rc": 366, "select": 1932,
+        "top": 22}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_TRANSCRIPT_SHAPES), ids=["horizontal", "vertical"])
+def test_run_pipeline_transcript_shape_pinned(shape):
+    # the message pattern depends on the shapes alone: the same rounds and
+    # messages, scope by scope, on every data seed
+    partition, algo, noise, rounds = shape
+    for seed in (1, 2, 3):
+        ds, plan = dataio.partition(dataio.make_toy_dataset(2000, seed), partition, seed=0)
+        _, log = run_pipeline(ds, plan, dataio.build_workload(ds.schema),
+                              PrivacyBudget(1.0, 1e-9, rounds), algo=algo,
+                              noise_kind=noise, backend="mpc", seed=seed)
+        t = log["transcript_summary"]
+        got = (t["rounds"], t["messages"],
+               {scope: v["messages"] for scope, v in t["scopes"].items()})
+        assert got == _TRANSCRIPT_SHAPES[shape], seed
 
 
 def test_run_pipeline_single_query_round():

@@ -59,17 +59,16 @@ def test_sec_eq_bounded_width_exhaustive(backend):
 def _eq_records(n: int, nbits: int, targets: int = 1) -> list[tuple[int, int, int, int]]:
     """(round, sender, receiver, bytes) of one sec_eq of n elements against
     ``targets`` public targets each, rounds counted from 1: one masked
-    word per mask bit from party 2 to party 1, one resharing of the nbits
-    mask bits and one opening to all parties, per element, then one
-    resharing of the floor(nbits/2) products that build the
-    mask's 2-bit one-hots, per element, whatever the targets, then one
-    resharing per level of the AND over the ceil(nbits/2) chunk
-    indicators, per output element."""
+    word per mask bit from party 2 to party 1, one resharing of x + r's
+    word and the nbits mask bits, with the first of those words also sent
+    to the right, per element, then one resharing of the floor(nbits/2)
+    products that build the mask's 2-bit one-hots, per element, whatever
+    the targets, then one resharing per level of the AND over the
+    ceil(nbits/2) chunk indicators, per output element."""
     reshare = [(2, 1), (3, 2), (1, 3)]
-    opening = [(2, 1), (3, 1), (3, 2), (1, 2), (1, 3), (2, 3)]
-    recs = [(1, 2, 1, 8 * nbits * n)] + [(2, s, t, 8 * nbits * n) for s, t in reshare]
-    recs += [(3, s, t, 8 * n) for s, t in opening]
-    rnd, length = 3, (nbits + 1) // 2
+    recs = [(1, 2, 1, 8 * nbits * n)] + [(2, s, t, 8 * (1 + nbits) * n) for s, t in reshare]
+    recs += [(2, s, t, 8 * n) for s, t in ((1, 2), (2, 3), (3, 1))]
+    rnd, length = 2, (nbits + 1) // 2
     if nbits > 1:
         rnd += 1
         recs += [(rnd, s, t, 8 * (nbits // 2) * n) for s, t in reshare]
@@ -95,7 +94,7 @@ def test_sec_eq_records_closed_form_and_data_independent(nbits):
         prim.sec_eq(eng, x, np.zeros(n, dtype=np.uint64), **kwargs)
         got = [(r - start, s, t, b) for r, _, s, t, b in msgs[skip:]]
         assert got == _eq_records(n, width)
-        assert eng.transcript.rounds - start == 3 + (width - 1).bit_length()
+        assert eng.transcript.rounds - start == 2 + (width - 1).bit_length()
         assert eng.transcript.counters["mask_bit"] == width * n
 
 
@@ -341,13 +340,13 @@ def test_clamp_words_at_domain_edges(backend):
 
 
 def test_clamp_rounds_and_counters():
-    # one batched comparison (mask 2 + opening 1 + borrow network 6) and
-    # one product: 9 + 1 rounds; still two comparisons per element
+    # one batched comparison (masked opening 2 + borrow network 6) and
+    # one product: 8 + 1 rounds; still two comparisons per element
     eng = Mpc3Engine(seed=57)
     x = eng.share(fixed.encode(np.linspace(-20.0, 4.0, 7)))
     before = eng.transcript.rounds
     prim._clamp(eng, x, *prim.EXP_DOMAIN)
-    assert eng.transcript.rounds - before == 9 + 1
+    assert eng.transcript.rounds - before == 8 + 1
     assert eng.transcript.counters["gt"] == 2 * 7
     assert eng.transcript.counters["dabit"] == 2 * 7
 
@@ -478,7 +477,7 @@ def test_value_bits_and_msb_onehot_match_plaintext(backend, nbits):
 
 
 def test_msb_onehot_round_count_log_depth():
-    # packed value bits: mask (2) + opening (1) + borrow network
+    # packed value bits: masked opening (2) + borrow network
     # (ceil(log2 (nbits - 1)) = 6, its last AND reshared); suffix-OR scan
     # ceil(log2 nbits) = 6 instead of nbits - 1, its last AND fused with
     # the opening that makes the one-hot arithmetic
@@ -487,18 +486,18 @@ def test_msb_onehot_round_count_log_depth():
         x = eng.share(np.arange(5, dtype=np.uint64))
         before = eng.transcript.rounds
         eng.msb_onehot(x, nbits)
-        assert eng.transcript.rounds - before == 2 + 1 + 6 + 6, nbits
+        assert eng.transcript.rounds - before == 2 + 6 + 6, nbits
 
 
 def test_sec_cmp_round_count_closed_form():
-    # mask (2) + opening (1) + borrow into bit 63 (ceil(log2 63) = 6), the
+    # masked opening (2) + borrow into bit 63 (ceil(log2 63) = 6), the
     # last level fused with the opening of m_63 ^ r_63 ^ borrow ^ daBit
     eng = Mpc3Engine(seed=64)
     x = eng.share(fixed.encode(np.linspace(-2, 2, 9)))
     y = eng.share(fixed.encode(np.zeros(9)))
     before = eng.transcript.rounds
     prim.sec_cmp(eng, x, y, "LT")
-    assert eng.transcript.rounds - before == 2 + 1 + 6
+    assert eng.transcript.rounds - before == 2 + 6
 
 
 def test_log_depth_networks_records_data_independent():
@@ -522,15 +521,16 @@ def _sign_network_records(n: int) -> list[tuple[int, int, int, int]]:
     """(round, sender, receiver, bytes) of a lone sign network on n
     elements, rounds counted from 1: one masked word for each of the 64
     mask bits and the daBit from party 2 to party 1, one resharing of two
-    words (the mask's sum and the daBit), one opening, five two-word AND
-    levels of the borrow scan into bit 63, then the sixth level's AND fused
-    with the opening of bit 63 (one word to each other party)."""
+    words (x + r's word and the daBit), the first also sent to the right,
+    five two-word AND levels of the borrow scan into bit 63, then the
+    sixth level's AND fused with the opening of bit 63 (one word to each
+    other party)."""
     reshare = [(2, 1), (3, 2), (1, 3)]
     opening = [(2, 1), (3, 1), (3, 2), (1, 2), (1, 3), (2, 3)]
     recs = [(1, 2, 1, 8 * 65 * n)] + [(2, s, t, 16 * n) for s, t in reshare]
-    recs += [(3, s, t, 8 * n) for s, t in opening]
-    recs += [(r, s, t, 16 * n) for r in range(4, 9) for s, t in reshare]
-    return recs + [(9, s, t, 8 * n) for s, t in opening]
+    recs += [(2, s, t, 8 * n) for s, t in ((1, 2), (2, 3), (3, 1))]
+    recs += [(r, s, t, 16 * n) for r in range(3, 8) for s, t in reshare]
+    return recs + [(8, s, t, 8 * n) for s, t in opening]
 
 
 _SIGN_VALUES = np.array([0, -1, 1 << 30, -(1 << 30)], dtype=np.int64)

@@ -173,30 +173,37 @@ def test_rand_bit_support_mean_and_determinism():
     assert not np.array_equal(bits, other)
 
 
+def _mask_bits(eng, shape, nbits: int = 64):
+    """A masked opening of zeros whose identity weight rows are the mask
+    bits; returns the reconstructed bits, stacked on a new leading axis."""
+    zeros = eng.share(np.zeros(shape, dtype=np.uint64))
+    _, mask = eng.masked_open(zeros, nbits, weights=np.eye(nbits, dtype=np.uint64))
+    return eng.reconstruct(mask.rows)
+
+
 def test_mask_bits_are_uniform_bits_per_position():
     eng = Mpc3Engine(seed=19)
-    bits = eng.reconstruct(eng.mask_bits((3, 1000)).bits)
+    bits = _mask_bits(eng, (3, 1000))
     assert bits.shape == (64, 3, 1000)
     assert set(np.unique(bits).tolist()) <= {0, 1}
     # every position of the unpacked words is a fair coin
     means = bits.reshape(64, -1).mean(axis=1)
     assert np.all(np.abs(means - 0.5) < 0.05)
     assert eng.transcript.counters["mask_bit"] == 64 * 3000
-    again = Mpc3Engine(seed=19).reconstruct(Mpc3Engine(seed=19).mask_bits((3, 1000)).bits)
-    assert np.array_equal(bits, again)
+    assert np.array_equal(bits, _mask_bits(Mpc3Engine(seed=19), (3, 1000)))
 
 
 @pytest.mark.parametrize("nbits", (1, 2, 5, 63))
 def test_mask_bits_width(nbits):
     eng = Mpc3Engine(seed=21)
-    bits = eng.reconstruct(eng.mask_bits((2, 500), nbits).bits)
+    bits = _mask_bits(eng, (2, 500), nbits)
     assert bits.shape == (nbits, 2, 500)
     assert set(np.unique(bits).tolist()) <= {0, 1}
     assert np.all(np.abs(bits.reshape(nbits, -1).mean(axis=1) - 0.5) < 0.07)
     assert eng.transcript.counters["mask_bit"] == nbits * 1000
-    assert eng.transcript.rounds == 2
+    assert eng.transcript.rounds == 1 + 2  # the sharing, then the opening
     with pytest.raises(ValueError):
-        eng.mask_bits(3, 0)
+        eng.masked_open(eng.share(np.zeros(3, dtype=np.uint64)), 0)
 
 
 @pytest.mark.parametrize("nbits", (1, 2, 5, 64))
@@ -204,9 +211,9 @@ def test_masked_open_word_uniform_for_fixed_input(nbits):
     eng = Mpc3Engine(seed=22)
     n = 40_000
     x = np.full(n, 3, dtype=np.uint64)
-    m, mask = eng.masked_open(eng.share(x), nbits)
+    m, mask = eng.masked_open(eng.share(x), nbits, weights=np.eye(nbits, dtype=np.uint64))
     # the low nbits bits of the opened word are (x + mask bits) mod 2^nbits
-    low = np.sum(eng.reconstruct(mask.bits) << np.arange(nbits, dtype=np.uint64)[:, None],
+    low = np.sum(eng.reconstruct(mask.rows) << np.arange(nbits, dtype=np.uint64)[:, None],
                  axis=0, dtype=np.uint64)
     keep = np.uint64((1 << nbits) - 1)
     assert np.array_equal((m - x - low) & keep, np.zeros(n, dtype=np.uint64))
@@ -356,7 +363,7 @@ def test_eq_public_opens_each_element_once(nbits):
         eng.eq_public(x, targets, nbits)
         assert eng.transcript.counters["mask_bit"] == nbits * n
         assert eng.transcript.counters["masked_open"] == n
-        assert eng.transcript.rounds - start == 3 + (nbits - 1).bit_length()
+        assert eng.transcript.rounds - start == 2 + (nbits - 1).bit_length()
         records.append([(r - start, *rest) for r, *rest in msgs[skip:]])
     assert records[0] == records[1]
 
@@ -414,33 +421,34 @@ def _scripted_run(eng):
 
 
 def test_transcript_summary_value_by_value():
-    # rounds: share 1, mul 2, open(to=0) 3, open() 4; trunc's conversion
-    # 5-6 (66 rows in, 2 sums and 2 daBits out), its opening 7, five AND
-    # levels 8-12 (2 words) and the fused opening of the two taps 13
+    # rounds: share 1, mul 2, open(to=0) 3, open() 4; trunc's masked
+    # opening 5-6 (66 rows in; x + r's word, r >> g and 2 daBits out, the
+    # first also sent right), five AND levels 7-11 (2 words) and the fused
+    # opening of the two taps 12
     eng = Mpc3Engine(seed=21)
     msgs = message_log(eng)
     _scripted_run(eng)
     want = {
-        "messages": 44,
-        "bytes": 2160,
-        "rounds": 13,
+        "messages": 41,
+        "bytes": 2112,
+        "rounds": 12,
         "channels": {
             "1->2": {"messages": 3, "bytes": 48},
-            "1->3": {"messages": 10, "bytes": 288},
-            "2->1": {"messages": 13, "bytes": 1392},
+            "1->3": {"messages": 9, "bytes": 272},
+            "2->1": {"messages": 12, "bytes": 1376},
             "2->3": {"messages": 4, "bytes": 80},
             "3->1": {"messages": 4, "bytes": 64},
-            "3->2": {"messages": 10, "bytes": 288},
+            "3->2": {"messages": 9, "bytes": 272},
         },
         "counters": {"dabit": 4, "mask_bit": 128, "masked_open": 2, "mul": 2, "trunc": 2},
         # only the innermost scope is charged: "outer" sent nothing itself
         "scopes": {
             "inner": {"messages": 3, "bytes": 48},
-            "top": {"messages": 41, "bytes": 2112},
+            "top": {"messages": 38, "bytes": 2064},
         },
     }
     assert eng.transcript.summary() == want
-    assert (len(msgs), sum(r[4] for r in msgs), msgs[-1][0]) == (44, 2160, 13)
+    assert (len(msgs), sum(r[4] for r in msgs), msgs[-1][0]) == (41, 2112, 12)
     for group, key_of in (("channels", lambda r: f"{r[2]}->{r[3]}"), ("scopes", lambda r: r[1])):
         for key, totals in want[group].items():
             sizes = [r[4] for r in msgs if key_of(r) == key]
@@ -507,8 +515,9 @@ def _masked(eng, rng, shape, taps):
     (m, mask, r) with r the word the arithmetic mask bits encode."""
     x = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
     x = np.where(rng.random(shape) < 0.2, np.uint64(0), x)
-    m, mask = eng.masked_open(eng.share(x), dabits=[t - 1 for t in taps])
-    bits = eng.reconstruct(mask.bits)
+    m, mask = eng.masked_open(eng.share(x), dabits=[t - 1 for t in taps],
+                              weights=np.eye(64, dtype=np.uint64))
+    bits = eng.reconstruct(mask.rows)
     weights = (np.uint64(1) << np.arange(64, dtype=np.uint64)).reshape((64,) + (1,) * len(shape))
     return m, mask, np.sum(bits * weights, axis=0, dtype=np.uint64)
 
@@ -555,14 +564,14 @@ def test_borrow_taps_reject_taps_outside_1_to_64():
 
 
 def test_trunc_round_count_closed_form():
-    # mask bits (2 rounds) + opening (1) + borrow network (ceil(log2 64) = 6);
-    # the 64-step borrow chain this replaces took 64 rounds after the opening
+    # masked opening (2 rounds) + borrow network (ceil(log2 64) = 6); the
+    # 64-step borrow chain this replaces took 64 rounds after the opening
     eng = Mpc3Engine(seed=29)
     x = eng.share(fixed.encode(np.linspace(-3, 3, 12)))
     for g in (1, 16, 30, 63):
         before = eng.transcript.rounds
         eng.trunc(x, g)
-        assert eng.transcript.rounds - before == 2 + 1 + 6, g
+        assert eng.transcript.rounds - before == 2 + 6, g
 
 
 def test_borrow_network_records_data_independent():
@@ -824,29 +833,88 @@ def _stream_mask(seed: int, shape, nbits: int, dabits: bool) -> np.ndarray:
 
 
 @pytest.mark.parametrize("nbits, dabits, weights", [
-    (64, (), None), (3, (), None), (64, (), ()), (64, (62,), ()),
+    (64, (), np.eye(64, dtype=np.uint64)), (3, (), np.eye(3, dtype=np.uint64)),
+    (64, (), ()), (64, (62,), ()),
     (64, (15, 63), (rss._high_weights(16),)), (5, (), (rss._high_weights(2)[:5],)),
 ], ids=["bits-64", "bits-3", "sum", "sum-dabit", "trunc-16", "width-5-shift-2"])
 def test_masked_open_word_matches_stream_bits(nbits, dabits, weights):
     # the opened word is x + r for the bits of the same mask streams that
-    # every conversion path draws, so the words opened do not move
+    # every conversion path draws, so the words opened do not move; the
+    # mask's rows are the weighted sums of r's low bits, its daBits the
+    # bits of its second stream words
     shape = (3, 4)
     x = np.random.default_rng(77).integers(0, 1 << 64, size=shape, dtype=np.uint64)
     eng = Mpc3Engine(seed=77)
     m, mask = eng.masked_open(eng.share(x), nbits, dabits, weights)
     r = _stream_mask(77, shape, nbits, bool(dabits))
     assert np.array_equal(m, x + r)
-    low = r & np.uint64(rss.MASK64 >> (64 - nbits))
-    if weights is None:
-        assert mask.sums is None
-        assert np.array_equal(eng.reconstruct(mask.bits), rss._pub_bits(low, range(nbits)))
-    else:
-        assert mask.bits is None
-        sums = eng.reconstruct(mask.sums)
-        assert sums.shape == (1 + len(weights),) + shape
-        assert np.array_equal(sums[0], low)
-        for row, w in zip(sums[1:], weights):
-            assert np.array_equal(row, _bit_sum_reference(rss._pub_bits(low, range(nbits)), w))
+    low_bits = rss._pub_bits(r, range(nbits))
+    rows = eng.reconstruct(mask.rows)
+    assert rows.shape == (len(weights),) + shape
+    for row, w in zip(rows, weights):
+        assert np.array_equal(row, _bit_sum_reference(low_bits, w))
+    if dabits:  # the packed daBit word is an XOR sharing
+        dabit_word = np.bitwise_xor.reduce(mask.dabit_word.data[:, 0])
+        assert np.array_equal(eng.reconstruct(mask.dabits), rss._pub_bits(dabit_word, dabits))
+
+
+def _uniform_words(words, *why):
+    for byte in (words & np.uint64(0xFF), words >> np.uint64(56)):
+        counts = np.bincount(byte.astype(np.int64), minlength=256)
+        assert stats.chisquare(counts).pvalue > 1e-3, why
+
+
+@pytest.mark.parametrize("nbits", (1, 64))
+def test_masked_open_row0_terms_uniform_for_fixed_input(nbits):
+    # each party receives two row-0 terms in the opening's second round,
+    # one from each neighbour; each is masked by a zero-stream word it
+    # lacks, so both are uniform whatever x is, and with its own term
+    # they sum to m = x + r. x is a public constant, so x adds nothing
+    # random to the terms
+    n = 40_000
+    eng = Mpc3Engine(seed=78)
+    msgs = message_log(eng, payloads=True)
+    m, _ = eng.masked_open(eng.const_vec(np.full(n, 3, dtype=np.uint64)), nbits)
+    got = {p: [] for p in (1, 2, 3)}
+    for rnd, _, _, receiver, _, arr in msgs:
+        if rnd == eng.transcript.rounds:
+            got[receiver].append(arr if arr.ndim == 1 else arr[0])
+    for party, terms in got.items():
+        assert len(terms) == 2, party
+        for term in terms:
+            _uniform_words(term, nbits, party)
+    assert np.array_equal(m, 3 + _stream_mask(78, (n,), nbits, False))
+    if nbits == 64:
+        # unmasked, index 1's term would be b0 ^ b1, and index 0, which
+        # holds streams 0 and 2, would read r = term ^ b0 ^ b2 off it
+        b0, _, b2 = (rss._philox(78, rss._PURPOSE_MASK, p).bit_generator.random_raw(n)
+                     for p in range(3))
+        _uniform_words(got[1][0] ^ b0 ^ b2 ^ (m - np.uint64(3)), "index 0 reads r")
+
+
+@pytest.mark.parametrize("dabits", [(), (0, 63)], ids=["no-dabits", "dabits"])
+@pytest.mark.parametrize("rows", [0, 2], ids=["no-rows", "two-rows"])
+@pytest.mark.parametrize("nbits", (1, 3, 64))
+def test_masked_open_records_closed_form_and_data_independent(nbits, rows, dabits):
+    # round 1: one masked word per mask bit and daBit from party 2 to
+    # party 1; round 2: one resharing of x + r's word, the weight rows and
+    # the daBits, then x + r's word once more to each right neighbour
+    shape, n, k = (3, 4), 12, len(dabits)
+    weights = np.random.default_rng(79).integers(0, 1 << 64, (rows, nbits), dtype=np.uint64)
+    want = [(1, "top", 2, 1, 8 * (nbits + k) * n)]
+    want += [(2, "top", s, r, 8 * (1 + rows + k) * n) for s, r in ((2, 1), (3, 2), (1, 3))]
+    want += [(2, "top", s, r, 8 * n) for s, r in ((1, 2), (2, 3), (3, 1))]
+    for data_seed in (0, 1, 2):
+        x = np.random.default_rng(data_seed).integers(0, 1 << 64, shape, dtype=np.uint64)
+        eng = Mpc3Engine(seed=79)
+        shared = eng.share(x)
+        msgs = message_log(eng)
+        start = eng.transcript.rounds
+        _, mask = eng.masked_open(shared, nbits, dabits, weights)
+        assert [(r - start, *rest) for r, *rest in msgs] == want, data_seed
+        assert eng.transcript.rounds - start == 2
+        assert mask.rows.shape == (rows,) + shape
+        assert (mask.dabits is None) == (not dabits)
 
 
 # -- heap retention -------------------------------------------------------------
